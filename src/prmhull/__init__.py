@@ -13,14 +13,7 @@ from .euclidean_hull import (
     self_hull_dim,
     verify_relative_hull,
 )
-from .fields import (
-    ContextMismatchError,
-    FieldContext,
-    FieldElement,
-    field_for_size,
-    field_make,
-    frobenius,
-)
+from .fields import FieldContext, field_for_size, field_make
 from .hermitian_hull import (
     HermHullBasis,
     HermHullDim,

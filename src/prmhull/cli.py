@@ -30,7 +30,7 @@ from . import hermitian_hull as hh
 from . import quantum as qt
 from . import verify as vf
 from .codes import DEFAULT_WEIGHT_CAP
-from .euclidean_hull import DualNotPrmError
+from .fields import prime_power
 from .polynomials import format_monomial, format_polynomial
 from .prm import prm_dual_description, prm_params, rm_dual_degree, rm_params
 
@@ -51,40 +51,39 @@ def _parse_q_list(text: str) -> list[int]:
     return qs
 
 
+def _check_field_sizes(q: int | list[int]) -> None:
+    """Refuse each --q that is not a prime power, before any field is built."""
+    for size in q if isinstance(q, list) else [q]:
+        prime_power(size)
+
+
 # -- params -------------------------------------------------------------------
 
 
 def cmd_params(args) -> int:
+    q, m, d = args.q, args.m, args.d
     if args.family == "prm":
-        p = prm_params(args.q, args.m, args.d)
-        dual = prm_dual_description(args.q, args.m, args.d)
-        record = {
-            "command": "params",
-            "family": "prm",
-            "q": args.q,
-            "m": args.m,
-            "d": args.d,
-            "n": p.n,
-            "k": p.k,
-            "wt": p.wt,
+        p = prm_params(q, m, d)
+        dual = prm_dual_description(q, m, d)
+        dual_info = {
             "dual_degree": dual.dual_degree,
             "dual_extra_all_ones": dual.extra_all_ones,
-            "provenance": {"n": "closed_form", "k": "closed_form", "wt": "closed_form"},
         }
     else:
-        p = rm_params(args.q, args.m, args.d)
-        record = {
-            "command": "params",
-            "family": "rm",
-            "q": args.q,
-            "m": args.m,
-            "d": args.d,
-            "n": p.n,
-            "k": p.k,
-            "wt": p.wt,
-            "dual_degree": rm_dual_degree(args.q, args.m, args.d),
-            "provenance": {"n": "closed_form", "k": "closed_form", "wt": "closed_form"},
-        }
+        p = rm_params(q, m, d)
+        dual_info = {"dual_degree": rm_dual_degree(q, m, d)}
+    record = {
+        "command": "params",
+        "family": args.family,
+        "q": q,
+        "m": m,
+        "d": d,
+        "n": p.n,
+        "k": p.k,
+        "wt": p.wt,
+        **dual_info,
+        "provenance": {"n": "closed_form", "k": "closed_form", "wt": "closed_form"},
+    }
     _emit(record)
     return 0
 
@@ -194,6 +193,10 @@ def cmd_hull_affine_hermitian(args) -> int:
 # -- tables ---------------------------------------------------------------------
 
 
+ASYM_COLUMNS = ["q", "d1", "d2", "n", "kappa", "delta_x", "delta_z", "c"]
+HERM_COLUMNS = ["q", "d", "n", "kappa", "delta_lower_bound", "c"]
+
+
 def _asym_rows(qs: list[int]) -> list[dict]:
     rows = []
     for q in qs:
@@ -209,77 +212,63 @@ def _asym_rows(qs: list[int]) -> list[dict]:
                     "delta_z": p.delta_z,
                     "c": p.c,
                     "pure": p.pure,
+                    "provenance": {
+                        c: "closed_form" for c in ("n", "kappa", "delta_x", "delta_z", "c")
+                    },
                 }
             )
     return rows
 
 
+def _herm_rows(qs: list[int], first_degree: int, params) -> list[dict]:
+    """Rows of a Hermitian-construction table, degrees first_degree..q^2-2."""
+    rows = []
+    for q in qs:
+        for d in range(first_degree, q * q - 1):
+            p = params(q, d)
+            c_source = "bound" if p.c_is_bound else "closed_form"
+            rows.append(
+                {
+                    "q": q,
+                    "d": d,
+                    "n": p.n,
+                    "kappa": p.kappa,
+                    "delta_lower_bound": p.delta,
+                    "c": p.c,
+                    "provenance": {
+                        "n": "closed_form",
+                        "kappa": c_source,
+                        "delta_lower_bound": "bound",
+                        "c": c_source,
+                    },
+                }
+            )
+    return rows
+
+
+def _csv_provenance(provenance: dict) -> str:
+    """The CSV cell: "closed_form" when every value is, else the c and delta sources."""
+    if set(provenance.values()) == {"closed_form"}:
+        return "closed_form"
+    return f"c:{provenance['c']};delta:{provenance['delta_lower_bound']}"
+
+
 def cmd_table(args) -> int:
-    qs = args.q
     if args.kind == "asym":
-        rows = _asym_rows(qs)
-        columns = ["q", "d1", "d2", "n", "kappa", "delta_x", "delta_z", "c"]
-        provenance = lambda row: "closed_form"  # noqa: E731
+        rows, columns = _asym_rows(args.q), ASYM_COLUMNS
     elif args.kind == "herm":
-        rows = []
-        for q in qs:
-            for d in range(1, q * q - 1):
-                p = qt.herm_eaqecc_prm(q, d)
-                rows.append(
-                    {
-                        "q": q,
-                        "d": d,
-                        "n": p.n,
-                        "kappa": p.kappa,
-                        "delta_lower_bound": p.delta,
-                        "c": p.c,
-                        "c_is_bound": p.c_is_bound,
-                    }
-                )
-        columns = ["q", "d", "n", "kappa", "delta_lower_bound", "c"]
-        provenance = lambda row: (  # noqa: E731
-            ("c:bound" if row["c_is_bound"] else "c:closed_form") + ";delta:bound"
-        )
+        rows, columns = _herm_rows(args.q, 1, qt.herm_eaqecc_prm), HERM_COLUMNS
     else:  # affine-herm
-        rows = []
-        for q in qs:
-            for d in range(0, q * q - 1):
-                p = qt.herm_eaqecc_rm(q, d)
-                rows.append(
-                    {
-                        "q": q,
-                        "d": d,
-                        "n": p.n,
-                        "kappa": p.kappa,
-                        "delta_lower_bound": p.delta,
-                        "c": p.c,
-                        "c_is_bound": False,
-                    }
-                )
-        columns = ["q", "d", "n", "kappa", "delta_lower_bound", "c"]
-        provenance = lambda row: "c:closed_form;delta:bound"  # noqa: E731
+        rows, columns = _herm_rows(args.q, 0, qt.herm_eaqecc_rm), HERM_COLUMNS
 
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns + ["provenance"])
         for row in rows:
-            writer.writerow([row[c] for c in columns] + [provenance(row)])
+            writer.writerow([row[c] for c in columns] + [_csv_provenance(row["provenance"])])
         return 0
     for row in rows:
-        record = {"command": f"table-{args.kind}", **{c: row[c] for c in columns}}
-        if args.kind == "asym":
-            record["pure"] = row["pure"]
-            record["provenance"] = {
-                c: "closed_form" for c in ("n", "kappa", "delta_x", "delta_z", "c")
-            }
-        else:
-            record["provenance"] = {
-                "n": "closed_form",
-                "kappa": "bound" if row["c_is_bound"] else "closed_form",
-                "delta_lower_bound": "bound",
-                "c": "bound" if row["c_is_bound"] else "closed_form",
-            }
-        _emit(record)
+        _emit({"command": f"table-{args.kind}", **row})
     return 0
 
 
@@ -433,10 +422,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.q is not None:
+            _check_field_sizes(args.q)
         return args.func(args)
-    except DualNotPrmError as exc:
-        _emit({"command": args.command, "error": str(exc)}, stream=sys.stderr)
-        return 2
     except (ValueError, ZeroDivisionError) as exc:
         _emit({"command": args.command, "error": str(exc)}, stream=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import FieldContext
+from .fields import FieldContext, require_tables
 
 DEFAULT_WEIGHT_CAP = 20_000_000
 _BLOCK = 1 << 15
@@ -28,15 +28,9 @@ class EnumerationBudgetError(RuntimeError):
     """Enumeration would exceed the codeword budget."""
 
 
-def _tables(ctx: FieldContext):
-    if ctx.mul_table is None:
-        raise ValueError(f"matrix kernel needs dense tables; {ctx!r} is too large")
-    return ctx
-
-
 def rref(ctx: FieldContext, rows: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns; zero rows dropped."""
-    _tables(ctx)
+    require_tables(ctx)
     M = np.array(rows, dtype=np.int64)
     if M.ndim != 2:
         raise ValueError("expected a 2-d array of encodings")
@@ -117,7 +111,7 @@ class LinearCode:
 
     def dual(self) -> LinearCode:
         """Euclidean dual under the standard inner product."""
-        ctx = _tables(self.ctx)
+        ctx = require_tables(self.ctx)
         n = self.n
         free = [c for c in range(n) if c not in set(self.pivots)]
         H = np.zeros((len(free), n), dtype=np.int64)
@@ -239,7 +233,7 @@ def _min_weight_scan(ctx: FieldContext, gen: np.ndarray, start: int, stop: int) 
     """Minimum symbol weight over message indices in [start, stop)."""
     if start >= stop:
         return None
-    _tables(ctx)
+    require_tables(ctx)
     p, e = ctx.p, ctx.e
     k, n = gen.shape
     ghat = _component_expansion(ctx, gen)

@@ -19,16 +19,8 @@ from dataclasses import dataclass, field
 
 from .codes import LinearCode
 from .fields import field_for_size
-from .points import projective_points
-from .polynomials import (
-    Monomial,
-    SparsePolynomial,
-    basis_a1,
-    basis_ad,
-    evaluate_polynomials,
-    overline,
-)
-from .prm import dim_rm, prm_code, prm_params
+from .polynomials import Monomial, SparsePolynomial, basis_a1, basis_ad, overline
+from .prm import dim_rm, plane_span, prm_code, prm_params
 
 
 class DualNotPrmError(ValueError):
@@ -216,11 +208,7 @@ def hull_oracle(q: int, d1: int, d2: int) -> LinearCode:
 
 def basis_code(q: int, d1: int, d2: int) -> LinearCode:
     """Span of the closed-form basis evaluations (RREF canonical form)."""
-    ctx = field_for_size(q)
-    pts = projective_points(ctx, 2)
-    polys = relative_hull_basis(q, d1, d2).polynomials()
-    rows = evaluate_polynomials(ctx, pts, polys)
-    return LinearCode.from_rows(ctx, rows)
+    return plane_span(field_for_size(q), relative_hull_basis(q, d1, d2).polynomials())
 
 
 @dataclass(frozen=True)

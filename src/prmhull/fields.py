@@ -13,8 +13,9 @@ Multiplication, inversion and powering go through log/antilog tables
 built from a generator of the (cyclic) multiplicative group; finding
 the generator doubles as the construction-time check that the group has
 order exactly q - 1.  For fields with q <= TABLE_LIMIT, dense numpy
-lookup tables are also built so the linear-algebra kernel can vectorize
-row operations.
+lookup tables are also built; polynomial evaluation and the linear-algebra
+kernel are vectorized through them and refuse larger fields
+(`require_tables`), so only the scalar API serves q > TABLE_LIMIT.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ import numpy as np
 
 MAX_FIELD_SIZE = 1 << 16
 TABLE_LIMIT = 512  # dense q x q numpy tables only below this size
-
-
-class ContextMismatchError(ValueError):
-    """Raised when elements bound to different fields are combined."""
 
 
 def is_prime(n: int) -> bool:
@@ -247,12 +244,6 @@ class FieldContext:
 
     # -- misc ------------------------------------------------------------------
 
-    def element(self, value: int) -> FieldElement:
-        return FieldElement(self, value % self.q)
-
-    def elements(self):
-        return (FieldElement(self, v) for v in range(self.q))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FieldContext)
@@ -264,77 +255,6 @@ class FieldContext:
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
-
-
-class FieldElement:
-    """A field element bound to its context; thin wrapper over the encoding."""
-
-    __slots__ = ("ctx", "value")
-
-    def __init__(self, ctx: FieldContext, value: int):
-        if not 0 <= value < ctx.q:
-            raise ValueError(f"encoding {value} out of range for {ctx!r}")
-        self.ctx = ctx
-        self.value = value
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.ctx != self.ctx:
-                raise ContextMismatchError(f"{self.ctx!r} vs {other.ctx!r}")
-            return other.value
-        if isinstance(other, int):
-            return other % self.ctx.q
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.add(self.value, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.sub(self.value, v))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.mul(self.value, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.div(self.value, v))
-
-    def __neg__(self):
-        return FieldElement(self.ctx, self.ctx.neg(self.value))
-
-    def __pow__(self, n: int):
-        return FieldElement(self.ctx, self.ctx.pow(self.value, n))
-
-    def inverse(self):
-        return FieldElement(self.ctx, self.ctx.inv(self.value))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.ctx == other.ctx and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.ctx.q
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.ctx, self.value))
-
-    def __repr__(self) -> str:
-        return f"{self.ctx!r}[{self.value}]"
 
 
 @lru_cache(maxsize=None)
@@ -353,24 +273,29 @@ def field_make(p: int, e: int) -> FieldContext:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with q = p^e; raises ValueError unless q is a prime power."""
+    if q < 2:
+        raise ValueError("field size must be >= 2")
+    factors = _prime_factors(q)
+    if len(factors) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    p = factors[0]
+    e = 0
+    while q % p == 0:
+        q //= p
+        e += 1
+    return p, e
+
+
 @lru_cache(maxsize=None)
 def field_for_size(q: int) -> FieldContext:
     """GF(q) for a prime power q, factoring q as p^e."""
-    if q < 2:
-        raise ValueError("field size must be >= 2")
-    p = next(f for f in range(2, q + 1) if q % f == 0)
-    e = 0
-    n = q
-    while n % p == 0:
-        n //= p
-        e += 1
-    if n != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return field_make(p, e)
+    return field_make(*prime_power(q))
 
 
-def frobenius(a: FieldElement, base_q: int) -> FieldElement:
-    """a -> a**base_q on GF(base_q^2); the conjugation behind Hermitian duals."""
-    if a.ctx.q != base_q * base_q:
-        raise ValueError(f"{a.ctx!r} is not GF({base_q}^2)")
-    return a**base_q
+def require_tables(ctx: FieldContext) -> FieldContext:
+    """ctx itself; raises ValueError when it has no dense tables (q > TABLE_LIMIT)."""
+    if ctx.mul_table is None:
+        raise ValueError(f"dense tables need q <= {TABLE_LIMIT}; {ctx!r} is too large")
+    return ctx

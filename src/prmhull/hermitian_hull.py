@@ -30,13 +30,13 @@ from .points import projective_points
 from .polynomials import (
     Monomial,
     SparsePolynomial,
+    basis_a1,
     basis_a2,
     basis_ad,
     evaluate_monomials,
-    evaluate_polynomials,
     overline,
 )
-from .prm import binom, dim_rm, prm_code, rm_code
+from .prm import binom, dim_rm, plane_span, prm_code, rm_code
 
 
 def _check_base(q: int) -> int:
@@ -111,13 +111,7 @@ def set_u(q: int, d: int) -> list[Monomial]:
     if not 1 <= d <= Q - 1:
         raise ValueError(f"degree must lie in [1, {Q-1}]")
     members = set(affine_hull_monomials(q, d - 1, d))
-    out = []
-    for a0 in range(d, 0, -1):
-        rest = d - a0
-        for a1 in range(min(Q - 1, rest), max(0, rest - (Q - 1)) - 1, -1):
-            if (a1, rest - a1) in members:
-                out.append((a0, a1, rest - a1))
-    return out
+    return [m for m in basis_a1(Q, d) if m[1:] in members]
 
 
 def set_t(q: int, d: int) -> list[int]:
@@ -403,13 +397,10 @@ class HermHullCheck:
 def verify_hermitian_hull(q: int, d: int) -> HermHullCheck:
     """Closed form vs hull oracle; tightness is reported, not assumed."""
     Q = _check_base(q)
-    ctx = field_for_size(Q)
-    pts = projective_points(ctx, 2)
     basis = hermitian_hull_basis(q, d)
     dim = hermitian_hull_dim(q, d)
     oracle = hermitian_hull_oracle(q, d)
-    rows = evaluate_polynomials(ctx, pts, basis.elements())
-    span = LinearCode.from_rows(ctx, rows)
+    span = plane_span(field_for_size(Q), basis.elements())
     independent = span.k == basis.size
     contained = span.is_subcode_of(oracle)
     return HermHullCheck(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import FieldContext
+from .fields import FieldContext, require_tables
 from .points import PointSet
 
 Monomial = tuple  # exponent tuple, one entry per variable
@@ -164,33 +164,17 @@ class SparsePolynomial:
 
 def _monomial_rows(ctx: FieldContext, pts: PointSet, monomials: list) -> np.ndarray:
     """Evaluations of monomials at all points, one row per monomial."""
+    mul = require_tables(ctx).mul_table
     coords = pts.array
     n = coords.shape[0]
     out = np.empty((len(monomials), n), dtype=np.int64)
-    if ctx.mul_table is not None:
-        mul = ctx.mul_table
-        for i, mono in enumerate(monomials):
-            row = np.ones(n, dtype=np.int64)
-            for j, e in enumerate(mono):
-                if e:
-                    row = mul[row, ctx.power_table(e)[coords[:, j]]]
-            out[i] = row
-    else:
-        for i, mono in enumerate(monomials):
-            out[i] = [
-                _eval_monomial_scalar(ctx, mono, pt) for pt in pts.points
-            ]
+    for i, mono in enumerate(monomials):
+        row = np.ones(n, dtype=np.int64)
+        for j, e in enumerate(mono):
+            if e:
+                row = mul[row, ctx.power_table(e)[coords[:, j]]]
+        out[i] = row
     return out
-
-
-def _eval_monomial_scalar(ctx: FieldContext, mono: Monomial, pt) -> int:
-    acc = 1
-    for coord, e in zip(pt, mono):
-        if e:
-            acc = ctx.mul(acc, ctx.pow(coord, e))
-            if acc == 0:
-                return 0
-    return acc
 
 
 def evaluate_polynomials(ctx: FieldContext, pts: PointSet, polys: list) -> np.ndarray:
@@ -202,15 +186,8 @@ def evaluate_polynomials(ctx: FieldContext, pts: PointSet, polys: list) -> np.nd
     out = np.zeros((len(polys), n), dtype=np.int64)
     for i, f in enumerate(polys):
         acc = np.zeros(n, dtype=np.int64)
-        if ctx.mul_table is not None:
-            for mono, c in f.terms.items():
-                acc = ctx.add_table[acc, ctx.mul_table[c, rows[index[mono]]]]
-        else:
-            for mono, c in f.terms.items():
-                term = rows[index[mono]]
-                acc = np.array(
-                    [ctx.add(a, ctx.mul(c, t)) for a, t in zip(acc, term)], dtype=np.int64
-                )
+        for mono, c in f.terms.items():
+            acc = ctx.add_table[acc, ctx.mul_table[c, rows[index[mono]]]]
         out[i] = acc
     return out
 

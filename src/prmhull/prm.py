@@ -19,9 +19,9 @@ from itertools import product
 import numpy as np
 
 from .codes import LinearCode, rref
-from .fields import FieldContext, field_for_size
+from .fields import FieldContext
 from .points import affine_points, projective_points
-from .polynomials import evaluate_monomials, grlex_key
+from .polynomials import evaluate_monomials, evaluate_polynomials, grlex_key
 
 
 def binom(n: int, r: int) -> int:
@@ -87,6 +87,12 @@ def prm_code(ctx: FieldContext, m: int, d: int) -> LinearCode:
     rows = evaluate_monomials(ctx, pts, degree_monomials(m + 1, d))
     R, piv = rref(ctx, rows)
     return LinearCode(ctx, len(pts), R, piv)
+
+
+def plane_span(ctx: FieldContext, polys: list) -> LinearCode:
+    """Span of the evaluations of polys at the plane's points (RREF canonical form)."""
+    rows = evaluate_polynomials(ctx, projective_points(ctx, 2), polys)
+    return LinearCode.from_rows(ctx, rows)
 
 
 @lru_cache(maxsize=None)
@@ -176,8 +182,3 @@ def dim_rm(q: int, d: int) -> int:
     if d < 0:
         return 0
     return rm_params(q, 2, d).k
-
-
-def code_for_size(q: int, d: int) -> LinearCode:
-    """PRM_d(q, 2) over the cached context for field size q."""
-    return prm_code(field_for_size(q), 2, d)

@@ -14,7 +14,7 @@ pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .codes import DEFAULT_WEIGHT_CAP, EnumerationBudgetError, LinearCode
 from .fields import field_for_size
@@ -144,17 +144,8 @@ def prm_symmetric_best(q: int, d1: int) -> EaqeccParams:
         raise ValueError(f"degree q-1 = {q-1} excluded: dual is not a PRM code")
     if (2 * d1) % (q - 1) == 0:
         raise ValueError("2*d1 = 0 mod q-1: congruent case, no closed form here")
-    n = q * q + q + 1
-    k1 = dim_rm(q, d1 - 1)
-    d1_perp = 2 * (q - 1) - d1
-    if d1 < q - 1:
-        c = d1 + 1 - min(d1, q - 1 - d1)
-    else:
-        k2 = dim_rm(q, d1_perp - 1)
-        c = k1 - k2 + q + 1 - min(d1_perp, d1 - (q - 1))
-    kappa = n - 2 * dim_prm(q, d1) + c
-    delta = prm_params(q, 2, d1_perp).wt
-    return EaqeccParams(base_q=q, n=n, kappa=kappa, c=c, delta=delta, pure=True)
+    asym = prm_asym_eaqecc(q, d1, d1)
+    return replace(asym, delta=asym.delta_z, delta_z=None, delta_x=None)
 
 
 def herm_eaqecc_prm(q: int, d: int) -> EaqeccParams:

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from prmhull.cli import main
 
 
@@ -210,3 +212,38 @@ def test_threads_env_does_not_change_output(capsys, monkeypatch):
     monkeypatch.setenv("PRMHULL_THREADS", "4")
     _, out2, _ = run_cli(capsys, "verify", "euclid", "--q", "3")
     assert out1 == out2
+
+
+SUBCOMMANDS = [
+    ["params", "prm", "--d", "1"],
+    ["params", "rm", "--d", "0"],
+    ["hull", "euclid", "--d1", "1", "--d2", "2"],
+    ["hull", "hermitian", "--d", "1"],
+    ["hull", "affine-hermitian", "--d", "0"],
+    ["table", "asym"],
+    ["table", "herm"],
+    ["table", "affine-herm"],
+    ["verify", "euclid"],
+    ["verify", "hermitian"],
+    ["verify", "affine"],
+    ["verify", "eaqecc"],
+    ["verify", "all"],
+]
+
+
+@pytest.mark.parametrize("q", ["0", "1", "6", "12"])
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=" ".join)
+def test_field_size_not_a_prime_power_exits_2(capsys, argv, q):
+    code, out, err = run_cli(capsys, *argv, "--q", q)
+    assert code == 2
+    assert out == ""
+    assert "error" in json.loads(err)
+
+
+def test_verify_above_table_limit_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "hull", "euclid", "--q", "625", "--d1", "1", "--d2", "2", "--verify"
+    )
+    assert code == 2
+    assert out == ""
+    assert "dense tables" in json.loads(err)["error"]

@@ -213,15 +213,17 @@ def test_format_parse_round_trip(data):
 
 
 def test_scalar_evaluation_fallback_large_field():
+    """There is no scalar fallback: above the dense-table limit evaluation refuses."""
     from prmhull.fields import field_make
     from prmhull.points import affine_points
 
-    ctx = field_make(5, 4)  # GF(625): no dense tables, scalar path
+    ctx = field_make(5, 4)  # GF(625): no dense tables
     pts = affine_points(ctx, 1)
     f = SparsePolynomial(ctx, 1, {(2,): 3, (0,): 1})
-    vals = f.evaluate(pts)
-    x = 614
-    assert vals[x] == ctx.add(ctx.mul(3, ctx.mul(x, x)), 1)
+    with pytest.raises(ValueError, match="dense tables"):
+        f.evaluate(pts)
+    with pytest.raises(ValueError, match="dense tables"):
+        evaluate_monomials(ctx, pts, [(2,)])
 
 
 def test_arithmetic_and_degree_helpers():
