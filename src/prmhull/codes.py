@@ -5,6 +5,25 @@ A LinearCode is its RREF generator matrix (zero rows dropped), which is
 the canonical representative of the row space: two codes are equal iff
 their matrices are identical.  Row operations are vectorized through the
 field's dense lookup tables, so the kernel needs q <= fields.TABLE_LIMIT.
+The matrix is stored read-only as uint16, which holds every encoding
+below that limit; `rref` copies its input to int64 and eliminates there,
+each pivot step touching only the columns from the pivot on (the rows
+below the pivot row are already zero to its left).
+
+A code's dual is computed once and kept in its `_dual` slot.  The memo
+points one way only: a dual never refers back to the code it came from,
+so codes form no reference cycles and are freed as soon as they are
+unreachable.  The check matrix is written down directly from the RREF
+(identity on the free columns, negated non-pivot entries on the pivot
+columns) and reduced by one elimination.
+
+The Hermitian dual needs no elimination of its own.  Frobenius x -> x^q
+is a field automorphism of GF(q^2) fixing 0 and 1, so applied entrywise
+to an RREF matrix it gives the RREF of the image code with the same
+pivots; hence C^(perp h) = frob(C^perp) is read off the memoised dual.
+It also commutes with taking duals, dual(frob X) = frob(dual X), so the
+Hermitian dual's own dual is frob(C) and is filled in up front, which
+saves `intersect(C, C^(perp h))` one more elimination.
 
 Minimum weight enumerates the message space in blocks.  Messages are
 expanded into GF(p) digits and multiplied against a GF(p)-component
@@ -44,17 +63,19 @@ def rref(ctx: FieldContext, rows: np.ndarray) -> tuple[np.ndarray, tuple[int, ..
         nz = np.nonzero(M[r:, c])[0]
         if nz.size == 0:
             continue
+        # rows r.. are zero left of column c, so row operations with the
+        # pivot row change only columns c..
         pr = r + int(nz[0])
         if pr != r:
-            M[[r, pr]] = M[[pr, r]]
+            M[[r, pr], c:] = M[[pr, r], c:]
         inv = INV[M[r, c]]
         if inv != 1:
-            M[r] = MUL[inv, M[r]]
+            M[r, c:] = MUL[inv, M[r, c:]]
         col = M[:, c].copy()
         col[r] = 0
         hits = np.nonzero(col)[0]
         if hits.size:
-            M[hits] = SUB[M[hits], MUL[col[hits][:, None], M[r][None, :]]]
+            M[hits, c:] = SUB[M[hits, c:], MUL[col[hits][:, None], M[r, c:][None, :]]]
         pivots.append(c)
         r += 1
     return M[:r], tuple(pivots)
@@ -63,14 +84,15 @@ def rref(ctx: FieldContext, rows: np.ndarray) -> tuple[np.ndarray, tuple[int, ..
 class LinearCode:
     """A length-n code over GF(q), held as its RREF generator matrix."""
 
-    __slots__ = ("ctx", "n", "matrix", "pivots")
+    __slots__ = ("ctx", "n", "matrix", "pivots", "_dual", "__weakref__")
 
     def __init__(self, ctx: FieldContext, n: int, matrix: np.ndarray, pivots: tuple):
         self.ctx = ctx
         self.n = n
-        self.matrix = matrix
+        self.matrix = np.asarray(matrix, dtype=np.uint16)
         self.matrix.setflags(write=False)
         self.pivots = pivots
+        self._dual: LinearCode | None = None
 
     @classmethod
     def from_rows(cls, ctx: FieldContext, rows, n: int | None = None) -> LinearCode:
@@ -78,7 +100,7 @@ class LinearCode:
         if not rows:
             if n is None:
                 raise ValueError("zero code needs an explicit length")
-            return cls(ctx, n, np.zeros((0, n), dtype=np.int64), ())
+            return cls(ctx, n, np.zeros((0, n), dtype=np.uint16), ())
         lengths = {len(r) for r in rows}
         if len(lengths) != 1:
             raise ValueError("ragged rows")
@@ -110,18 +132,20 @@ class LinearCode:
     # -- duals, sums, intersections --------------------------------------------
 
     def dual(self) -> LinearCode:
-        """Euclidean dual under the standard inner product."""
-        ctx = require_tables(self.ctx)
-        n = self.n
-        free = [c for c in range(n) if c not in set(self.pivots)]
-        H = np.zeros((len(free), n), dtype=np.int64)
-        NEG = ctx.neg_table
-        for i, f in enumerate(free):
-            H[i, f] = 1
-            for r, pc in enumerate(self.pivots):
-                H[i, pc] = NEG[self.matrix[r, f]]
-        R, piv = rref(ctx, H)
-        return LinearCode(ctx, n, R, piv)
+        """Euclidean dual under the standard inner product (memoised)."""
+        if self._dual is None:
+            ctx = require_tables(self.ctx)
+            n = self.n
+            pivots = list(self.pivots)
+            is_free = np.ones(n, dtype=bool)
+            is_free[pivots] = False
+            free = np.flatnonzero(is_free)
+            H = np.zeros((len(free), n), dtype=np.int64)
+            H[np.arange(len(free)), free] = 1
+            H[:, pivots] = ctx.neg_table[self.matrix[:, free]].T
+            R, piv = rref(ctx, H)
+            self._dual = LinearCode(ctx, n, R, piv)
+        return self._dual
 
     def _check_compatible(self, other: LinearCode) -> None:
         if self.ctx != other.ctx:
@@ -141,14 +165,19 @@ class LinearCode:
         return self.dual().sum_with(other.dual()).dual()
 
     def hermitian_dual(self, base_q: int) -> LinearCode:
-        """Dual under sum(u_i v_i^q) over GF(base_q^2): Frobenius of the dual."""
+        """Dual under sum(u_i v_i^q) over GF(base_q^2): Frobenius of the dual.
+
+        Frobenius keeps an RREF matrix in RREF with the same pivots, so no
+        elimination runs here, and the result's dual is frob(self).
+        """
         ctx = self.ctx
         if ctx.q != base_q * base_q:
             raise ValueError(f"{ctx!r} is not GF({base_q}^2)")
         frob = ctx.power_table(base_q)
         D = self.dual()
-        R, piv = rref(ctx, frob[D.matrix])
-        return LinearCode(ctx, self.n, R, piv)
+        herm = LinearCode(ctx, self.n, frob[D.matrix], D.pivots)
+        herm._dual = LinearCode(ctx, self.n, frob[self.matrix], self.pivots)
+        return herm
 
     # -- membership ---------------------------------------------------------------
 

@@ -231,7 +231,7 @@ def verify_relative_hull(q: int, d1: int, d2: int) -> HullCheck:
     d1, d2 = _validate(q, d1, d2)
     basis = relative_hull_basis(q, d1, d2)
     oracle = hull_oracle(q, d1, d2)
-    bc = basis_code(q, d1, d2)
+    bc = plane_span(field_for_size(q), basis.polynomials())
     return HullCheck(
         q,
         d1,

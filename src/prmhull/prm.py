@@ -19,7 +19,7 @@ from itertools import product
 import numpy as np
 
 from .codes import LinearCode, rref
-from .fields import FieldContext
+from .fields import FieldContext, require_tables
 from .points import affine_points, projective_points
 from .polynomials import evaluate_monomials, evaluate_polynomials, grlex_key
 
@@ -83,7 +83,8 @@ def prm_code(ctx: FieldContext, m: int, d: int) -> LinearCode:
     """The projective Reed-Muller code of degree d over P^m."""
     if not 1 <= d <= m * (ctx.q - 1):
         raise ValueError(f"degree {d} outside [1, {m*(ctx.q-1)}] for PRM over GF({ctx.q})")
-    pts = projective_points(ctx, m)
+    # refuse before the point set is built and cached
+    pts = projective_points(require_tables(ctx), m)
     rows = evaluate_monomials(ctx, pts, degree_monomials(m + 1, d))
     R, piv = rref(ctx, rows)
     return LinearCode(ctx, len(pts), R, piv)
@@ -91,7 +92,7 @@ def prm_code(ctx: FieldContext, m: int, d: int) -> LinearCode:
 
 def plane_span(ctx: FieldContext, polys: list) -> LinearCode:
     """Span of the evaluations of polys at the plane's points (RREF canonical form)."""
-    rows = evaluate_polynomials(ctx, projective_points(ctx, 2), polys)
+    rows = evaluate_polynomials(ctx, projective_points(require_tables(ctx), 2), polys)
     return LinearCode.from_rows(ctx, rows)
 
 
@@ -100,7 +101,7 @@ def rm_code(ctx: FieldContext, m: int, d: int) -> LinearCode:
     """The affine Reed-Muller code of order d over A^m."""
     if not 0 <= d <= m * (ctx.q - 1):
         raise ValueError(f"order {d} outside [0, {m*(ctx.q-1)}] for RM over GF({ctx.q})")
-    pts = affine_points(ctx, m)
+    pts = affine_points(require_tables(ctx), m)
     rows = evaluate_monomials(ctx, pts, bounded_monomials(m, d, ctx.q - 1))
     R, piv = rref(ctx, rows)
     return LinearCode(ctx, len(pts), R, piv)

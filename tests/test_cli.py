@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from prmhull.cli import main
+from prmhull.points import projective_points
 
 
 def run_cli(capsys, *argv):
@@ -247,3 +248,15 @@ def test_verify_above_table_limit_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "dense tables" in json.loads(err)["error"]
+
+
+def test_refused_field_leaves_no_point_set_cached(capsys):
+    # the GF(625) plane has 391,251 points; refusing must not build them, nor
+    # look them up (an earlier test that built them would hide it otherwise)
+    before = projective_points.cache_info()
+    code, out, _ = run_cli(
+        capsys, "hull", "euclid", "--q", "625", "--d1", "1", "--d2", "2", "--verify"
+    )
+    assert code == 2
+    assert out == ""
+    assert projective_points.cache_info() == before

@@ -1,10 +1,16 @@
+import gc
 import itertools
 import random
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prmhull.codes import EnumerationBudgetError, LinearCode
+from prmhull.codes import EnumerationBudgetError, LinearCode, rref
 from prmhull.fields import field_for_size
 
 
@@ -213,3 +219,157 @@ def test_min_weight_excluding_random_cross_check(q):
             w = sum(1 for x in cw if x)
             best = w if best is None or w < best else best
         assert got == best
+
+
+# -- kernel self-checks: differential against the explicit construction --------
+
+
+def _reference_rref(ctx, rows):
+    """Gauss-Jordan elimination with every row operation on whole rows."""
+    M = np.array(rows, dtype=np.int64)
+    MUL, SUB, INV = ctx.mul_table, ctx.sub_table, ctx.inv_table
+    r, pivots = 0, []
+    for c in range(M.shape[1]):
+        nz = np.nonzero(M[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        M[[r, pr]] = M[[pr, r]]
+        M[r] = MUL[INV[M[r, c]], M[r]]
+        for i in range(M.shape[0]):
+            if i != r and M[i, c]:
+                M[i] = SUB[M[i], MUL[M[i, c], M[r]]]
+        pivots.append(c)
+        r += 1
+    return M[:r], tuple(pivots)
+
+
+def _reference_dual(code):
+    """The check matrix built entry by entry, then reduced: (matrix, pivots)."""
+    ctx, n = code.ctx, code.n
+    free = [c for c in range(n) if c not in set(code.pivots)]
+    H = np.zeros((len(free), n), dtype=np.int64)
+    for i, f in enumerate(free):
+        H[i, f] = 1
+        for r, pc in enumerate(code.pivots):
+            H[i, pc] = ctx.neg_table[code.matrix[r, f]]
+    return _reference_rref(ctx, H)
+
+
+def _reference_hermitian_dual(code, base_q):
+    """Frobenius of the reference dual, reduced again."""
+    R, _ = _reference_dual(code)
+    return _reference_rref(code.ctx, code.ctx.power_table(base_q)[R])
+
+
+def _same(code, reference):
+    R, piv = reference
+    return code.pivots == piv and np.array_equal(code.matrix, R)
+
+
+def _inner_products(ctx, A, B, twist=None):
+    """Matrix of sum_j A[i, j] * twist(B[l, j]) through the field tables."""
+    B = np.asarray(B, dtype=np.int64)
+    if twist is not None:
+        B = twist[B]
+    prods = ctx.mul_table[np.asarray(A, dtype=np.int64)[:, None, :], B[None, :, :]]
+    acc = np.zeros(prods.shape[:2], dtype=np.int64)
+    for j in range(prods.shape[2]):
+        acc = ctx.add_table[acc, prods[:, :, j]]
+    return acc
+
+
+@st.composite
+def _code_pairs(draw):
+    q = draw(st.sampled_from([2, 3, 4, 8, 9, 16]))
+    ctx = field_for_size(q)
+    n = draw(st.integers(1, 9))
+    gens = []
+    for _ in range(2):
+        k = draw(st.integers(0, n + 1))
+        flat = draw(st.lists(st.integers(0, q - 1), min_size=k * n, max_size=k * n))
+        gens.append([flat[i * n : (i + 1) * n] for i in range(k)])
+    return ctx, n, gens
+
+
+@given(_code_pairs())
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_reference_and_identities(pair):
+    ctx, n, gens = pair
+    c, other = (LinearCode.from_rows(ctx, rows, n=n) for rows in gens)
+    if gens[0]:
+        assert _same(c, _reference_rref(ctx, gens[0]))
+    assert _same(c, rref(ctx, c.matrix))  # idempotent
+    d = c.dual()
+    assert _same(d, _reference_dual(c))
+    assert not _inner_products(ctx, c.matrix, d.matrix).any()
+    assert c.k + d.k == n
+    assert d.dual() == c
+
+    if ctx.e % 2 == 0:
+        base_q = ctx.p ** (ctx.e // 2)
+        h = c.hermitian_dual(base_q)
+        assert _same(h, _reference_hermitian_dual(c, base_q))
+        assert not _inner_products(ctx, h.matrix, c.matrix, ctx.power_table(base_q)).any()
+        assert c.k + h.k == n
+        # the dual filled in by hermitian_dual is the one an elimination gives
+        assert _same(h.dual(), _reference_dual(LinearCode(ctx, n, h.matrix, h.pivots)))
+        assert h.hermitian_dual(base_q) == c
+
+    inter = c.intersect(other)
+    assert inter == other.intersect(c)
+    assert inter.is_subcode_of(c) and inter.is_subcode_of(other)
+    assert inter.k + c.sum_with(other).k == c.k + other.k
+
+
+def test_dual_is_memoised():
+    ctx = field_for_size(4)
+    c = _random_code(ctx, random.Random(1), 3, 7)
+    assert c.dual() is c.dual()
+    h = c.hermitian_dual(2)
+    assert h.dual() is h.dual()
+
+
+def test_matrix_is_read_only_uint16():
+    ctx = field_for_size(9)
+    c = _random_code(ctx, random.Random(2), 3, 6)
+    for code in (c, c.dual(), c.hermitian_dual(3), LinearCode.from_rows(ctx, [], n=4)):
+        assert code.matrix.dtype == np.uint16
+        assert not code.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            code.matrix[..., :1] = 0
+
+
+def test_dual_memo_makes_no_reference_cycle():
+    ctx = field_for_size(4)
+    rng = random.Random(3)
+    gc.disable()
+    try:
+        c = _random_code(ctx, rng, 2, 6)
+        d = c.dual()
+        h = c.hermitian_dual(2)
+        hd = h.dual()
+        refs = [weakref.ref(x) for x in (c, d, d.dual(), h, hd)]
+        del c, d, h, hd
+        # reference counting alone frees them: nothing points back
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def test_dual_memo_shared_between_threads():
+    # verify sweeps run on worker threads over lru_cached codes; a race on
+    # the memo may only duplicate work, never hand out a different dual
+    ctx = field_for_size(9)
+    codes = [_random_code(ctx, random.Random(seed), 3, 8) for seed in range(16)]
+    expected = [LinearCode(ctx, c.n, c.matrix, c.pivots).dual() for c in codes]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [(i, pool.submit(c.dual)) for i, c in enumerate(codes) for _ in range(8)]
+            results = [(i, f.result(timeout=60)) for i, f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    assert all(d == expected[i] for i, d in results)
+    assert all(c.dual() == e for c, e in zip(codes, expected))

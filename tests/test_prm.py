@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from prmhull.fields import field_for_size
+from prmhull.fields import field_for_size, field_make
+from prmhull.points import affine_points, projective_points
 from prmhull.prm import (
     CodeParams,
     DualDescription,
@@ -145,3 +146,13 @@ def test_dim_helpers_consistent_with_split_basis():
             expected = dim_rm(q, d - 1) + (d + 1 if d <= q - 1 else q + 1)
             assert dim_prm(q, d) == expected, (q, d)
     assert dim_rm(4, -1) == 0
+
+
+def test_codes_beyond_table_limit_refused_before_points_are_built():
+    big = field_make(5, 4)  # GF(625): no dense tables
+    infos = (projective_points.cache_info(), affine_points.cache_info())
+    with pytest.raises(ValueError, match="dense tables"):
+        prm_code(big, 2, 1)
+    with pytest.raises(ValueError, match="dense tables"):
+        rm_code(big, 2, 1)
+    assert (projective_points.cache_info(), affine_points.cache_info()) == infos
