@@ -278,14 +278,10 @@ def cmd_table(args) -> int:
 def cmd_verify(args) -> int:
     scope = args.scope
     records: list[dict] = []
-    ok = True
 
-    def run(sweep, qs):
-        nonlocal ok
+    def run(sweep, qs, **kwargs):
         for q in qs:
-            recs, good = sweep(q)
-            records.extend(recs)
-            ok = ok and good
+            records.extend(sweep(q, **kwargs))
 
     # under scope "all" each sweep is clamped to its intended field range
     # (the Hermitian sweeps live over GF(q^2) and grow fast)
@@ -302,8 +298,7 @@ def cmd_verify(args) -> int:
         run(vf.eaqecc_euclid_sweep, qs)
         golden = Path(args.goldens) / "table1.csv"
         if golden.exists():
-            recs, good = vf.table1_diff(golden)
-            recs = [r for r in recs if r["q"] in qs]
+            recs = [r for r in vf.table1_diff(golden) if r["q"] in qs]
             failed = [r for r in recs if r["status"] == "fail"]
             records.extend(failed)
             records.append(
@@ -315,30 +310,27 @@ def cmd_verify(args) -> int:
                     "status": "pass" if not failed else "fail",
                 }
             )
-            ok = ok and not failed
         if args.herm:
             herm_qs = [q for q in qs if q <= 4]
             run(vf.eaqecc_herm_sweep, herm_qs)
             if 3 in herm_qs:
                 records.extend(vf.herm_reference_warn())
         if args.purity:
-            for q in qs:
-                recs, good = vf.purity_sweep(q, cap=args.cap)
-                records.extend(recs)
-                ok = ok and good
+            run(vf.purity_sweep, qs, cap=args.cap)
 
     for record in records:
         _emit(record)
+    failures = sum(1 for r in records if r["status"] == "fail")
     summary = {
         "check": "summary",
         "scope": scope,
         "records": len(records),
-        "failures": sum(1 for r in records if r["status"] == "fail"),
+        "failures": failures,
         "warnings": sum(1 for r in records if r["status"] == "warn"),
-        "status": "pass" if ok else "fail",
+        "status": "fail" if failures else "pass",
     }
     _emit(summary)
-    return 0 if ok else 1
+    return 1 if failures else 0
 
 
 # -- parser ----------------------------------------------------------------------

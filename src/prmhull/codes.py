@@ -15,7 +15,9 @@ points one way only: a dual never refers back to the code it came from,
 so codes form no reference cycles and are freed as soon as they are
 unreachable.  The check matrix is written down directly from the RREF
 (identity on the free columns, negated non-pivot entries on the pivot
-columns) and reduced by one elimination.
+columns) and reduced by one elimination.  Since C^perp^perp = C, the
+dual's own dual is pre-set to a fresh code sharing this code's read-only
+matrix, so `intersect(C, D.dual())` never eliminates D^perp^perp again.
 
 The Hermitian dual needs no elimination of its own.  Frobenius x -> x^q
 is a field automorphism of GF(q^2) fixing 0 and 1, so applied entrywise
@@ -144,7 +146,10 @@ class LinearCode:
             H[np.arange(len(free)), free] = 1
             H[:, pivots] = ctx.neg_table[self.matrix[:, free]].T
             R, piv = rref(ctx, H)
-            self._dual = LinearCode(ctx, n, R, piv)
+            dual = LinearCode(ctx, n, R, piv)
+            # a fresh code sharing the read-only matrix: no cycle forms
+            dual._dual = LinearCode(ctx, n, self.matrix, self.pivots)
+            self._dual = dual
         return self._dual
 
     def _check_compatible(self, other: LinearCode) -> None:

@@ -103,12 +103,6 @@ class SparsePolynomial:
     def __sub__(self, other: SparsePolynomial) -> SparsePolynomial:
         return self + (-other)
 
-    def scale(self, coeff: int) -> SparsePolynomial:
-        ctx = self.ctx
-        return SparsePolynomial(
-            ctx, self.nvars, {m: ctx.mul(c, coeff) for m, c in self.terms.items()}
-        )
-
     def __mul__(self, other: SparsePolynomial) -> SparsePolynomial:
         self._check(other)
         ctx = self.ctx

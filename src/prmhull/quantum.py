@@ -63,11 +63,13 @@ def asym_from_codes(
     d1 = c1.dual()
     d2 = c2.dual()
     if d1.k and d2.k:
+        # full-code weights first: they refuse under exactly the budget the
+        # excluding ones would, so a refusal comes before any intersection
         try:
-            dz = d1.min_weight_excluding(d1.intersect(c2), cap=weight_cap)
-            dx = d2.min_weight_excluding(d2.intersect(c1), cap=weight_cap)
             wt1 = d1.min_weight(cap=weight_cap)
             wt2 = d2.min_weight(cap=weight_cap)
+            dz = d1.min_weight_excluding(d1.intersect(c2), cap=weight_cap)
+            dx = d2.min_weight_excluding(d2.intersect(c1), cap=weight_cap)
         except EnumerationBudgetError:
             dz = dx = None
             omitted = True

@@ -1,17 +1,15 @@
 """Verification sweeps: closed forms against the Gaussian-elimination oracle.
 
-Each sweep returns a list of deterministic record dicts (sorted inputs,
-sorted keys downstream) plus a pass/fail verdict.  Exact-mode mismatches
-are failures; lower-bound tightness is reported but non-fatal.  The
-PRMHULL_THREADS environment variable caps worker threads; results are
-buffered and sorted, so output does not depend on scheduling.
+Each sweep runs serially and returns a list of deterministic record dicts
+(sorted inputs, sorted keys downstream).  A record's status is its whole
+verdict: exact-mode mismatches are "fail", lower-bound tightness is
+reported but non-fatal, budget skips are "info" and known published
+discrepancies are "warn".  A run passes iff no record has status "fail".
 """
 
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import euclidean_hull as eh
@@ -22,23 +20,7 @@ from .fields import field_for_size
 from .prm import prm_code, prm_params, rm_code, rm_params
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("PRMHULL_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items: list) -> list:
-    workers = _threads()
-    items = list(items)
-    if workers == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def euclid_sweep(q: int) -> tuple[list[dict], bool]:
+def euclid_sweep(q: int) -> list[dict]:
     """Formula dim == oracle dim and exact span equality, all degree pairs."""
     pairs = [
         (d1, d2)
@@ -60,7 +42,7 @@ def euclid_sweep(q: int) -> tuple[list[dict], bool]:
             "status": "pass" if chk.ok else "fail",
         }
 
-    records = _pmap(check, pairs)
+    records = [check(pair) for pair in pairs]
     endpoint = eh.extended_dual_hull_oracle(q, 2 * (q - 1), 2 * (q - 1)).k
     records.append(
         {
@@ -71,10 +53,10 @@ def euclid_sweep(q: int) -> tuple[list[dict], bool]:
             "status": "pass" if endpoint == 0 else "fail",
         }
     )
-    return records, all(r["status"] == "pass" for r in records)
+    return records
 
 
-def hermitian_sweep(q: int) -> tuple[list[dict], bool]:
+def hermitian_sweep(q: int) -> list[dict]:
     """Counting formulas vs enumeration and hull closed forms vs oracle."""
     degrees = list(range(1, q * q - 1))
 
@@ -99,12 +81,10 @@ def hermitian_sweep(q: int) -> tuple[list[dict], bool]:
             "status": "pass" if (chk.ok and count_ok) else "fail",
         }
 
-    records = _pmap(check, degrees)
-    ok = all(r["status"] == "pass" for r in records)
-    return records, ok
+    return [check(d) for d in degrees]
 
 
-def affine_sweep(q: int) -> tuple[list[dict], bool]:
+def affine_sweep(q: int) -> list[dict]:
     """Self-orthogonality boundary and the |U_{d,d}| count, all degrees."""
     Q = q * q
     ctx = field_for_size(Q)
@@ -139,10 +119,10 @@ def affine_sweep(q: int) -> tuple[list[dict], bool]:
                 "status": "pass" if ok else "fail",
             }
         )
-    return records, all(r["status"] == "pass" for r in records)
+    return records
 
 
-def eaqecc_euclid_sweep(q: int) -> tuple[list[dict], bool]:
+def eaqecc_euclid_sweep(q: int) -> list[dict]:
     """Closed-form c and kappa against the oracle for all admissible pairs."""
     ctx = field_for_size(q)
     pairs = [
@@ -172,11 +152,10 @@ def eaqecc_euclid_sweep(q: int) -> tuple[list[dict], bool]:
             "status": "pass" if ok else "fail",
         }
 
-    records = _pmap(check, pairs)
-    return records, all(r["status"] == "pass" for r in records)
+    return [check(pair) for pair in pairs]
 
 
-def purity_sweep(q: int, cap: int = DEFAULT_WEIGHT_CAP) -> tuple[list[dict], bool]:
+def purity_sweep(q: int, cap: int = DEFAULT_WEIGHT_CAP) -> list[dict]:
     """Purity probes for every enumeration-feasible non-congruent pair."""
     records = []
     for d1 in range(1, 2 * (q - 1) + 1):
@@ -208,11 +187,10 @@ def purity_sweep(q: int, cap: int = DEFAULT_WEIGHT_CAP) -> tuple[list[dict], boo
                     "status": "pass" if rep.pure else "fail",
                 }
             )
-    ok = all(r["status"] != "fail" for r in records)
-    return records, ok
+    return records
 
 
-def table1_diff(golden_path: str | Path) -> tuple[list[dict], bool]:
+def table1_diff(golden_path: str | Path) -> list[dict]:
     """Each golden asym row must reproduce exactly from the closed forms."""
     records = []
     with open(golden_path, newline="") as fh:
@@ -244,7 +222,7 @@ def table1_diff(golden_path: str | Path) -> tuple[list[dict], bool]:
                     "status": "pass" if expected == got else "fail",
                 }
             )
-    return records, all(r["status"] == "pass" for r in records)
+    return records
 
 
 # Published reference parameters whose kappa disagrees with the defining
@@ -276,15 +254,20 @@ def herm_reference_warn() -> list[dict]:
     return records
 
 
-def eaqecc_herm_sweep(q: int) -> tuple[list[dict], bool]:
-    """Hermitian-construction c values against the hull oracle."""
+def eaqecc_herm_sweep(q: int) -> list[dict]:
+    """Hermitian-construction c values against the hull oracle.
+
+    A record passes only if c agrees with the oracle and kappa satisfies
+    its defining identity kappa = n - 2k + c.
+    """
     Q = q * q
     records = []
     for d in range(1, Q - 1):
         params = qt.herm_eaqecc_prm(q, d)
         k = prm_params(Q, 2, d).k
         oracle_c = k - hh.hermitian_hull_oracle(q, d).k
-        ok = oracle_c <= params.c if params.c_is_bound else oracle_c == params.c
+        c_ok = oracle_c <= params.c if params.c_is_bound else oracle_c == params.c
+        identity = params.kappa == params.n - 2 * k + params.c
         records.append(
             {
                 "check": "eaqecc-herm-closed-vs-oracle",
@@ -293,14 +276,15 @@ def eaqecc_herm_sweep(q: int) -> tuple[list[dict], bool]:
                 "closed_c": params.c,
                 "c_is_bound": params.c_is_bound,
                 "oracle_c": oracle_c,
-                "kappa_identity": params.kappa == params.n - 2 * k + params.c,
-                "status": "pass" if ok else "fail",
+                "kappa_identity": identity,
+                "status": "pass" if c_ok and identity else "fail",
             }
         )
     for d in range(0, Q - 1):
         params = qt.herm_eaqecc_rm(q, d)
         k = rm_params(Q, 2, d).k
         oracle_c = k - hh.affine_hull_oracle(q, d, d).k
+        identity = params.kappa == params.n - 2 * k + params.c
         records.append(
             {
                 "check": "eaqecc-affine-herm-closed-vs-oracle",
@@ -308,12 +292,11 @@ def eaqecc_herm_sweep(q: int) -> tuple[list[dict], bool]:
                 "d": d,
                 "closed_c": params.c,
                 "oracle_c": oracle_c,
-                "kappa_identity": params.kappa == params.n - 2 * k + params.c,
-                "status": "pass" if oracle_c == params.c else "fail",
+                "kappa_identity": identity,
+                "status": "pass" if oracle_c == params.c and identity else "fail",
             }
         )
-    ok = all(r["status"] == "pass" and r.get("kappa_identity", True) for r in records)
-    return records, ok
+    return records
 
 
 def worked_examples_payload() -> dict:

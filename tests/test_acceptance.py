@@ -21,10 +21,10 @@ def _announce(num, name, elapsed=None):
 
 def test_criterion_1_reference_table_reproduction(goldens_dir):
     t0 = time.time()
-    records, ok = vf.table1_diff(goldens_dir / "table1.csv")
+    records = vf.table1_diff(goldens_dir / "table1.csv")
     elapsed = time.time() - t0
     failures = [r for r in records if r["status"] == "fail"]
-    assert ok and not failures, failures[:5]
+    assert not failures, failures[:5]
     assert len(records) == 52  # every published row, each reproduced exactly
     assert elapsed < 5.0
     _announce(1, "reference asym table reproduces exactly", elapsed)
@@ -43,9 +43,9 @@ def test_criterion_2_worked_example_goldens(goldens_dir):
 def test_criterion_3_euclidean_hull_sweep():
     t0 = time.time()
     for q in (3, 4, 5, 7, 8, 9):
-        records, ok = vf.euclid_sweep(q)
+        records = vf.euclid_sweep(q)
         bad = [r for r in records if r["status"] != "pass"]
-        assert ok and not bad, (q, bad[:5])
+        assert not bad, (q, bad[:5])
     elapsed = time.time() - t0
     assert elapsed < 60.0
     _announce(3, "euclidean hull formula = oracle and spans (q<=9)", elapsed)
@@ -54,9 +54,9 @@ def test_criterion_3_euclidean_hull_sweep():
 def test_criterion_4_hermitian_sweep():
     t0 = time.time()
     for q in (2, 3, 4):
-        records, ok = vf.hermitian_sweep(q)
+        records = vf.hermitian_sweep(q)
         bad = [r for r in records if r["status"] != "pass"]
-        assert ok and not bad, (q, bad[:5])
+        assert not bad, (q, bad[:5])
         if q in (2, 3):
             # the "observed tight" claim is a hard assertion at this scale
             loose = [r for r in records if not r["tight"]]
@@ -73,9 +73,9 @@ def test_criterion_4_hermitian_sweep():
 def test_criterion_5_affine_hermitian():
     t0 = time.time()
     for q in (2, 3):
-        records, ok = vf.affine_sweep(q)
+        records = vf.affine_sweep(q)
         bad = [r for r in records if r["status"] != "pass"]
-        assert ok and not bad, (q, bad[:5])
+        assert not bad, (q, bad[:5])
     elapsed = time.time() - t0
     assert elapsed < 30.0
     _announce(5, "affine hermitian boundary and |U_{d,d}| formula", elapsed)
@@ -84,9 +84,9 @@ def test_criterion_5_affine_hermitian():
 def test_criterion_6_purity():
     t0 = time.time()
     for q in (3, 4):
-        records, ok = vf.purity_sweep(q, cap=DEFAULT_WEIGHT_CAP)
+        records = vf.purity_sweep(q, cap=DEFAULT_WEIGHT_CAP)
         failures = [r for r in records if r["status"] == "fail"]
-        assert ok and not failures, (q, failures[:5])
+        assert not failures, (q, failures[:5])
         probed = [r for r in records if r["status"] == "pass"]
         assert probed  # the cap leaves plenty of feasible pairs
     elapsed = time.time() - t0

@@ -191,6 +191,31 @@ def test_verify_eaqecc_herm_warns_but_passes(capsys, goldens_dir):
     assert jlines(out)[-1]["failures"] == 0
 
 
+def test_verify_kappa_identity_failure_fails_the_run(capsys, monkeypatch):
+    # a record's status is the whole verdict: a false kappa identity fails
+    # its record, and the summary and exit code follow the records
+    import dataclasses
+
+    from prmhull import quantum
+
+    real = quantum.herm_eaqecc_prm
+
+    def off_by_one(q, d):
+        params = real(q, d)
+        return dataclasses.replace(params, kappa=params.kappa + 1)
+
+    monkeypatch.setattr(quantum, "herm_eaqecc_prm", off_by_one)
+    code, out, _ = run_cli(capsys, "verify", "eaqecc", "--q", "2", "--herm")
+    assert code == 1
+    recs = jlines(out)
+    herm = [r for r in recs if r["check"] == "eaqecc-herm-closed-vs-oracle"]
+    assert herm and all(r["status"] == "fail" for r in herm)
+    assert not any(r["kappa_identity"] for r in herm)
+    summary = recs[-1]
+    assert summary["status"] == "fail"
+    assert summary["failures"] == len(herm)
+
+
 def test_output_byte_stable(capsys):
     _, out1, _ = run_cli(capsys, "table", "asym", "--q", "4,5")
     _, out2, _ = run_cli(capsys, "table", "asym", "--q", "4,5")
@@ -206,13 +231,6 @@ def test_module_entry_point():
     assert proc.returncode == 0
     rec = json.loads(proc.stdout)
     assert (rec["n"], rec["k"], rec["wt"]) == (7, 3, 4)
-
-
-def test_threads_env_does_not_change_output(capsys, monkeypatch):
-    _, out1, _ = run_cli(capsys, "verify", "euclid", "--q", "3")
-    monkeypatch.setenv("PRMHULL_THREADS", "4")
-    _, out2, _ = run_cli(capsys, "verify", "euclid", "--q", "3")
-    assert out1 == out2
 
 
 SUBCOMMANDS = [

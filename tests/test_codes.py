@@ -357,8 +357,23 @@ def test_dual_memo_makes_no_reference_cycle():
         gc.enable()
 
 
+def test_dual_of_dual_needs_no_elimination(monkeypatch):
+    from prmhull import codes
+
+    ctx = field_for_size(9)
+    c = _random_code(ctx, random.Random(5), 3, 8)
+    d = c.dual()
+
+    def no_rref(*_args, **_kwargs):
+        raise AssertionError("rref called")
+
+    monkeypatch.setattr(codes, "rref", no_rref)
+    assert d.dual() == c
+    assert d.dual() is not c  # a fresh code: the memo stays one-way
+
+
 def test_dual_memo_shared_between_threads():
-    # verify sweeps run on worker threads over lru_cached codes; a race on
+    # library callers may share lru_cached codes across threads; a race on
     # the memo may only duplicate work, never hand out a different dual
     ctx = field_for_size(9)
     codes = [_random_code(ctx, random.Random(seed), 3, 8) for seed in range(16)]

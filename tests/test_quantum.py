@@ -211,12 +211,33 @@ def test_asym_from_codes_weight_budget_flag():
     assert p.c == prm_asym_eaqecc(4, 1, 4).c
 
 
+def test_asym_from_codes_zero_cap_builds_only_the_hull(monkeypatch):
+    # with no enumeration budget the weights are refused before the
+    # intersections they would exclude are built
+    from prmhull.codes import LinearCode
+
+    ctx = field_for_size(4)
+    c1, c2 = prm_code(ctx, 2, 1), prm_code(ctx, 2, 4)
+    calls = []
+    real = LinearCode.intersect
+
+    def counting(self, other):
+        calls.append((self, other))
+        return real(self, other)
+
+    monkeypatch.setattr(LinearCode, "intersect", counting)
+    p = asym_from_codes(c1, c2, weight_cap=0)
+    assert p.weights_omitted and p.c == prm_asym_eaqecc(4, 1, 4).c
+    assert calls == [(c1, c2.dual())]
+
+
 @pytest.mark.parametrize("q", [3, 5, 7, 8])
 def test_closed_form_c_matches_oracle_across_fields(q):
     from prmhull.verify import eaqecc_euclid_sweep
 
-    records, ok = eaqecc_euclid_sweep(q)
-    assert ok, [r for r in records if r["status"] != "pass"][:5]
+    records = eaqecc_euclid_sweep(q)
+    bad = [r for r in records if r["status"] != "pass"]
+    assert not bad, bad[:5]
 
 
 def test_table_rows_sorted_and_admissible():
