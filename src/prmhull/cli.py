@@ -51,6 +51,16 @@ def _parse_q_list(text: str) -> list[int]:
     return qs
 
 
+def _parse_cap(text: str) -> int:
+    try:
+        cap = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad codeword cap {text!r}") from exc
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"codeword cap must be >= 0; got {cap}")
+    return cap
+
+
 def _check_field_sizes(q: int | list[int]) -> None:
     """Refuse each --q that is not a prime power, before any field is built."""
     for size in q if isinstance(q, list) else [q]:
@@ -403,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--q", type=_parse_q_list, default=None)
     p_verify.add_argument("--herm", action="store_true")
     p_verify.add_argument("--purity", action="store_true")
-    p_verify.add_argument("--cap", type=int, default=DEFAULT_WEIGHT_CAP)
+    p_verify.add_argument("--cap", type=_parse_cap, default=DEFAULT_WEIGHT_CAP)
     p_verify.add_argument("--goldens", default=str(DEFAULT_GOLDENS))
     p_verify.set_defaults(func=cmd_verify)
 

@@ -31,8 +31,18 @@ Minimum weight enumerates the message space in blocks.  Messages are
 expanded into GF(p) digits and multiplied against a GF(p)-component
 expansion of the generator matrix with a float64 matmul (exact at these
 magnitudes), then reduced mod p; a coordinate is nonzero iff any of its
-e components is.  The cap makes infeasible enumerations an explicit
-error, never an estimate.
+e components is.  Only normalised messages are scanned, those whose
+leading (highest-index) nonzero symbol is 1: message index i holds
+symbol (i // q^j) % q for row j, so they are the index ranges
+[q^j, 2 q^j), because encoding 1 is the field's one.  Every nonzero
+codeword is a nonzero scalar multiple of exactly one of them and has its
+weight, so this is exact and does 1/(q-1) of the work.  The full-code
+weight is kept in the `_min_weight` slot.  `min_weight_excluding` scans
+only the ranges whose leading row lies outside the subcode (C minus a
+subspace is closed under nonzero scalars too) and stops at the first
+block that reaches the full-code weight, below which nothing can lie.
+The cap makes infeasible enumerations an explicit error, never an
+estimate: `q^k > cap` refuses every call, memoised or not.
 """
 
 from __future__ import annotations
@@ -86,7 +96,7 @@ def rref(ctx: FieldContext, rows: np.ndarray) -> tuple[np.ndarray, tuple[int, ..
 class LinearCode:
     """A length-n code over GF(q), held as its RREF generator matrix."""
 
-    __slots__ = ("ctx", "n", "matrix", "pivots", "_dual", "__weakref__")
+    __slots__ = ("ctx", "n", "matrix", "pivots", "_dual", "_min_weight", "__weakref__")
 
     def __init__(self, ctx: FieldContext, n: int, matrix: np.ndarray, pivots: tuple):
         self.ctx = ctx
@@ -95,6 +105,7 @@ class LinearCode:
         self.matrix.setflags(write=False)
         self.pivots = pivots
         self._dual: LinearCode | None = None
+        self._min_weight: int | None = None
 
     @classmethod
     def from_rows(cls, ctx: FieldContext, rows, n: int | None = None) -> LinearCode:
@@ -209,18 +220,21 @@ class LinearCode:
 
     # -- minimum weight ---------------------------------------------------------------
 
-    def min_weight(self, cap: int = DEFAULT_WEIGHT_CAP) -> int:
-        """Exact minimum Hamming weight by message-space enumeration."""
-        if self.k == 0:
-            raise ValueError("zero code has no nonzero codeword")
+    def _refuse_over_cap(self, cap: int) -> None:
         total = self.ctx.q**self.k
         if total > cap:
             raise EnumerationBudgetError(
                 f"q^k = {total} codewords exceeds the cap {cap}"
             )
-        w = _min_weight_scan(self.ctx, self.matrix, 1, total)
-        assert w is not None
-        return w
+
+    def min_weight(self, cap: int = DEFAULT_WEIGHT_CAP) -> int:
+        """Exact minimum Hamming weight by message-space enumeration (memoised)."""
+        if self.k == 0:
+            raise ValueError("zero code has no nonzero codeword")
+        self._refuse_over_cap(cap)
+        if self._min_weight is None:
+            self._min_weight = _min_weight_scan(self.ctx, self.matrix, 0, floor=1)
+        return self._min_weight
 
     def min_weight_excluding(
         self, sub: LinearCode, cap: int = DEFAULT_WEIGHT_CAP
@@ -229,23 +243,20 @@ class LinearCode:
 
         Returns None (the "empty" signal) when the subcode is the whole
         code.  Enumerates exactly the complement: the generator stacks a
-        basis of the subcode below extension rows, and message indices
-        with zero extension digits are skipped wholesale.
+        basis of the subcode below extension rows, and only messages whose
+        leading nonzero symbol sits on an extension row are scanned.  The
+        scan stops once it meets the full-code weight.
         """
         self._check_compatible(sub)
         if not sub.is_subcode_of(self):
             raise ValueError("excluded code is not a subcode")
-        total = self.ctx.q**self.k
-        if total > cap:
-            raise EnumerationBudgetError(
-                f"q^k = {total} codewords exceeds the cap {cap}"
-            )
+        self._refuse_over_cap(cap)
         ext, _ = rref(self.ctx, sub._reduce_rows(self.matrix))
         if ext.shape[0] == 0:
             return None
+        floor = self.min_weight(cap)
         gen = np.vstack([sub.matrix, ext])
-        start = self.ctx.q ** sub.k
-        return _min_weight_scan(self.ctx, gen, start, total)
+        return _min_weight_scan(self.ctx, gen, sub.k, floor)
 
 
 def _component_expansion(ctx: FieldContext, gen: np.ndarray) -> np.ndarray:
@@ -263,22 +274,26 @@ def _component_expansion(ctx: FieldContext, gen: np.ndarray) -> np.ndarray:
     return out
 
 
-def _min_weight_scan(ctx: FieldContext, gen: np.ndarray, start: int, stop: int) -> int | None:
-    """Minimum symbol weight over message indices in [start, stop)."""
-    if start >= stop:
-        return None
+def _min_weight_scan(ctx: FieldContext, gen: np.ndarray, j0: int, floor: int) -> int:
+    """Minimum symbol weight over the normalised messages with leading row >= j0.
+
+    Those are the message indices in [q^j, 2 q^j) for j = j0 .. k-1; the
+    scan returns as soon as a block reaches `floor`, a known lower bound.
+    """
     require_tables(ctx)
-    p, e = ctx.p, ctx.e
+    p, e, q = ctx.p, ctx.e, ctx.q
     k, n = gen.shape
     ghat = _component_expansion(ctx, gen)
     pw = p ** np.arange(e * k, dtype=np.int64)
-    best: int | None = None
-    for lo in range(start, stop, _BLOCK):
-        idx = np.arange(lo, min(lo + _BLOCK, stop), dtype=np.int64)
-        digits = ((idx[:, None] // pw) % p).astype(np.float64)
-        cw = (digits @ ghat) % p
-        weights = (cw.reshape(len(idx), n, e) != 0).any(axis=2).sum(axis=1)
-        w = int(weights.min())
-        if best is None or w < best:
-            best = w
+    best = n + 1
+    for j in range(j0, k):
+        start = q**j
+        for lo in range(start, 2 * start, _BLOCK):
+            idx = np.arange(lo, min(lo + _BLOCK, 2 * start), dtype=np.int64)
+            digits = ((idx[:, None] // pw) % p).astype(np.float64)
+            cw = (digits @ ghat) % p
+            weights = (cw.reshape(len(idx), n, e) != 0).any(axis=2).sum(axis=1)
+            best = min(best, int(weights.min()))
+            if best <= floor:
+                return best
     return best

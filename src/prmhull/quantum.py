@@ -212,8 +212,10 @@ def purity_probe(
     """Compare wt(PRM_d1) with the minimum weight outside the intersection."""
     ctx = field_for_size(q)
     c1 = prm_code(ctx, 2, d1)
-    hull = c1.intersect(prm_code(ctx, 2, d2))
+    # the full-code weight refuses under the same budget as the excluding
+    # one, so a refusal comes before any intersection is built
     wt_full = c1.min_weight(cap=cap)
+    hull = c1.intersect(prm_code(ctx, 2, d2))
     wt_excl = c1.min_weight_excluding(hull, cap=cap)
     return PurityReport(q, d1, d2, wt_full, wt_excl, empty=wt_excl is None)
 

@@ -278,3 +278,19 @@ def test_refused_field_leaves_no_point_set_cached(capsys):
     assert code == 2
     assert out == ""
     assert projective_points.cache_info() == before
+
+
+def test_verify_negative_cap_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "eaqecc", "--q", "3", "--purity", "--cap", "-5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--cap" in captured.err
+
+
+def test_verify_zero_cap_skips_every_purity_probe(capsys):
+    code, out, _ = run_cli(capsys, "verify", "eaqecc", "--q", "3", "--purity", "--cap", "0")
+    assert code == 0
+    purity = [r for r in jlines(out) if r["check"] == "eaqecc-purity"]
+    assert purity and all(r["status"] == "info" for r in purity)

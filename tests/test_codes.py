@@ -388,3 +388,116 @@ def test_dual_memo_shared_between_threads():
         sys.setswitchinterval(old)
     assert all(d == expected[i] for i, d in results)
     assert all(c.dual() == e for c, e in zip(codes, expected))
+
+
+# -- minimum weight: normalised messages, memo, floor ------------------------------
+
+
+def _all_codewords(ctx, matrix):
+    """Every codeword of the row space, one per message of itertools.product."""
+    k, n = matrix.shape
+    msgs = np.array(list(itertools.product(range(ctx.q), repeat=k)), dtype=np.int64)
+    msgs = msgs.reshape(ctx.q**k, k)
+    acc = np.zeros((len(msgs), n), dtype=np.int64)
+    for i in range(k):
+        acc = ctx.add_table[acc, ctx.mul_table[msgs[:, i : i + 1], matrix[i][None, :]]]
+    return acc
+
+
+def _brute_weight_outside(ctx, code, sub):
+    """Plain minimum weight over code minus sub; None when nothing is left."""
+    inside = {tuple(cw) for cw in _all_codewords(ctx, sub.matrix)}
+    outside = [cw for cw in _all_codewords(ctx, code.matrix) if tuple(cw) not in inside]
+    return min((int(np.count_nonzero(cw)) for cw in outside), default=None)
+
+
+@st.composite
+def _codes_with_subcodes(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5, 8, 9]))
+    ctx = field_for_size(q)
+    n = draw(st.integers(1, 8))
+    kmax = 0
+    while kmax < n and q ** (kmax + 1) <= 4096:
+        kmax += 1
+    k = draw(st.integers(0, kmax))
+    flat = draw(st.lists(st.integers(0, q - 1), min_size=k * n, max_size=k * n))
+    code = LinearCode.from_rows(ctx, [flat[i * n : (i + 1) * n] for i in range(k)], n=n)
+    # a unit upper-triangular mix of a row permutation is invertible, so its
+    # first s rows span an s-dimensional subcode for every s = 0 .. k
+    k = code.k
+    perm = draw(st.permutations(range(k)))
+    mixed = []
+    for i in range(k):
+        row = code.matrix[perm[i]].astype(np.int64)
+        for l in range(i + 1, k):
+            u = draw(st.integers(0, q - 1))
+            row = ctx.add_table[row, ctx.mul_table[u, code.matrix[perm[l]]]]
+        mixed.append(row)
+    subs = [LinearCode.from_rows(ctx, mixed[:s], n=n) for s in range(k + 1)]
+    return ctx, code, subs
+
+
+@given(_codes_with_subcodes())
+@settings(max_examples=150, deadline=None)
+def test_min_weight_matches_itertools_brute_force(case):
+    ctx, code, subs = case
+    zero = subs[0]
+    assert [s.k for s in subs] == list(range(code.k + 1))
+    if code.k == 0:
+        with pytest.raises(ValueError):
+            code.min_weight()
+        assert code.min_weight_excluding(zero) is None
+        return
+    expected_full = _brute_weight_outside(ctx, code, zero)
+    for sub in subs:
+        expected = _brute_weight_outside(ctx, code, sub)
+        cold = LinearCode(ctx, code.n, code.matrix, code.pivots)
+        assert cold.min_weight_excluding(sub) == expected  # floor memo cold
+        assert cold._min_weight in (None, expected_full)
+        assert code.min_weight() == expected_full
+        assert code.min_weight_excluding(sub) == expected  # floor memo warm
+
+
+def test_second_min_weight_call_runs_no_scan(monkeypatch):
+    from prmhull import codes
+
+    ctx = field_for_size(5)
+    c = _random_code(ctx, random.Random(7), 3, 8)
+    w = c.min_weight()
+
+    def no_scan(*_args, **_kwargs):
+        raise AssertionError("_min_weight_scan called")
+
+    monkeypatch.setattr(codes, "_min_weight_scan", no_scan)
+    assert c.min_weight() == w
+
+
+def test_memoised_min_weight_still_refuses_over_cap():
+    ctx = field_for_size(4)
+    c = _random_code(ctx, random.Random(8), 3, 7)
+    assert c.min_weight(cap=64) == c.min_weight()
+    zero = LinearCode.from_rows(ctx, [], n=7)
+    for call in (
+        lambda: c.min_weight(cap=63),
+        lambda: c.min_weight(cap=0),
+        lambda: c.min_weight_excluding(zero, cap=63),
+    ):
+        with pytest.raises(EnumerationBudgetError):
+            call()
+
+
+def test_encoding_one_is_the_identity_with_digits_one_then_zeros():
+    # the normalised message ranges [q^j, 2 q^j) put symbol 1 on the leading
+    # row; they rely on encoding 1 being the field's one, digits (1, 0, ..., 0)
+    from prmhull.fields import TABLE_LIMIT, field_make, prime_power
+
+    build = field_make.__wrapped__  # uncached: keep the tables of ~100 fields out of memory
+    for q in range(2, TABLE_LIMIT + 1):
+        try:
+            p, e = prime_power(q)
+        except ValueError:
+            continue
+        ctx = build(p, e)
+        assert np.array_equal(ctx.mul_table[1], np.arange(q))
+        assert ctx.mul(1, q - 1) == q - 1
+        assert tuple(ctx.digit_table[1]) == (1,) + (0,) * (e - 1)

@@ -231,6 +231,18 @@ def test_asym_from_codes_zero_cap_builds_only_the_hull(monkeypatch):
     assert calls == [(c1, c2.dual())]
 
 
+def test_purity_probe_zero_cap_builds_no_intersection(monkeypatch):
+    # the full-code weight refuses first, so a budget skip costs no elimination
+    from prmhull.codes import EnumerationBudgetError, LinearCode
+
+    def no_intersect(self, other):
+        raise AssertionError("intersect called")
+
+    monkeypatch.setattr(LinearCode, "intersect", no_intersect)
+    with pytest.raises(EnumerationBudgetError):
+        purity_probe(4, 1, 2, cap=0)
+
+
 @pytest.mark.parametrize("q", [3, 5, 7, 8])
 def test_closed_form_c_matches_oracle_across_fields(q):
     from prmhull.verify import eaqecc_euclid_sweep
