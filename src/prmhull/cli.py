@@ -61,6 +61,26 @@ def _parse_cap(text: str) -> int:
     return cap
 
 
+class _UsageError(Exception):
+    """An argument list the parser refused; `main` reports it as a JSON record."""
+
+    def __init__(self, prog: str, message: str):
+        super().__init__(message)
+        # a subparser's prog is "prmhull <command> ...", the top level's "prmhull"
+        words = prog.split()
+        self.command = words[1] if len(words) > 1 else None
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse that raises _UsageError where it would print usage and exit 2.
+
+    Subparsers inherit the class.  `--help` still prints and exits 0.
+    """
+
+    def error(self, message: str):
+        raise _UsageError(self.prog, message)
+
+
 def _check_field_sizes(q: int | list[int]) -> None:
     """Refuse each --q that is not a prime power, before any field is built."""
     for size in q if isinstance(q, list) else [q]:
@@ -347,7 +367,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="prmhull",
         description=(
             "Plane projective/affine Reed-Muller codes, their Euclidean and "
@@ -421,8 +441,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        _emit({"command": exc.command, "error": str(exc)}, stream=sys.stderr)
+        return 2
     try:
         if args.q is not None:
             _check_field_sizes(args.q)

@@ -1,5 +1,6 @@
-"""Exact linear algebra over GF(q): reduced row echelon form, duals,
-intersections, Hermitian duals, and brute-force minimum weight.
+"""Exact linear algebra over GF(q): reduced row echelon form, matrix
+products, duals, intersections, Hermitian duals, and brute-force minimum
+weight.
 
 A LinearCode is its RREF generator matrix (zero rows dropped), which is
 the canonical representative of the row space: two codes are equal iff
@@ -13,11 +14,32 @@ below the pivot row are already zero to its left).
 A code's dual is computed once and kept in its `_dual` slot.  The memo
 points one way only: a dual never refers back to the code it came from,
 so codes form no reference cycles and are freed as soon as they are
-unreachable.  The check matrix is written down directly from the RREF
-(identity on the free columns, negated non-pivot entries on the pivot
-columns) and reduced by one elimination.  Since C^perp^perp = C, the
-dual's own dual is pre-set to a fresh code sharing this code's read-only
+unreachable.  The check matrix is written down directly from a
+systematic generator: identity on the free columns, negated non-pivot
+entries on the pivot columns.  When 2k >= n the generator is the RREF
+itself and the check matrix is reduced by one (n-k) x n elimination.
+When 2k < n the generator is instead the RREF taken on reversed
+columns, a k x n elimination whose pivots P_R are the right-greedy ones;
+with F their complement, [I on F, -G_R^T on P_R] already is the RREF of
+C^perp, because row f has off-identity entries only at pivots p > f
+(matroid duality: the first basis of the dual matroid is the complement
+of the last basis of the matroid).  Since C^perp^perp = C, the dual's
+own dual is pre-set to a fresh code sharing this code's read-only
 matrix, so `intersect(C, D.dual())` never eliminates D^perp^perp again.
+
+Intersections come from a Gram matrix: C1 cap C2 = {m G1 : m G1 H2^T =
+0} for a check matrix H2 of C2 (its memoised dual), so the intersection
+is N G1 for N a basis of the left null space of the k1 x (n-k2) matrix
+G1 H2^T, which is the dual of the row space of its transpose.  N and G1
+are both in RREF, so N G1 is too, with G1's pivots at N's; no elimination
+of length n runs.  The code of smaller dimension plays C1, which makes
+the Gram matrix the smaller of the two choices, and since H2 and G1 are
+the identity on their pivot columns, both products run over the free
+columns only.  `field_matmul` forms each product from the GF(p)
+digit planes of its operands, one float64 BLAS matmul per pair of planes
+followed by a reduction mod p; the sums it reduces stay below
+m e (p-1)^2 for inner dimension m, exact while that is under 2^53, and a
+larger product raises ValueError.
 
 The Hermitian dual needs no elimination of its own.  Frobenius x -> x^q
 is a field automorphism of GF(q^2) fixing 0 and 1, so applied entrywise
@@ -53,6 +75,7 @@ from .fields import FieldContext, require_tables
 
 DEFAULT_WEIGHT_CAP = 20_000_000
 _BLOCK = 1 << 15
+_FLOAT_EXACT = 1 << 53  # float64 holds every integer below this exactly
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -149,14 +172,21 @@ class LinearCode:
         if self._dual is None:
             ctx = require_tables(self.ctx)
             n = self.n
-            pivots = list(self.pivots)
-            is_free = np.ones(n, dtype=bool)
-            is_free[pivots] = False
-            free = np.flatnonzero(is_free)
+            low_rate = 2 * self.k < n
+            if low_rate:
+                # systematic on the right-greedy pivots: one k x n elimination
+                R, rpiv = rref(ctx, self.matrix[:, ::-1])
+                gen, pivots = R[:, ::-1], [n - 1 - c for c in rpiv]
+            else:
+                gen, pivots = self.matrix, list(self.pivots)
+            free = np.flatnonzero(_free_columns(n, pivots))
             H = np.zeros((len(free), n), dtype=np.int64)
             H[np.arange(len(free)), free] = 1
-            H[:, pivots] = ctx.neg_table[self.matrix[:, free]].T
-            R, piv = rref(ctx, H)
+            H[:, pivots] = ctx.neg_table[gen[:, free]].T
+            if low_rate:
+                R, piv = H, tuple(free.tolist())  # already the RREF of C^perp
+            else:
+                R, piv = rref(ctx, H)
             dual = LinearCode(ctx, n, R, piv)
             # a fresh code sharing the read-only matrix: no cycle forms
             dual._dual = LinearCode(ctx, n, self.matrix, self.pivots)
@@ -176,9 +206,28 @@ class LinearCode:
         return LinearCode(self.ctx, self.n, R, piv)
 
     def intersect(self, other: LinearCode) -> LinearCode:
-        """C1 cap C2, computed as dual(dual(C1) + dual(C2))."""
+        """C1 cap C2 = {m G1 : m G1 H2^T = 0}: N G1, N the left null space of G1 H2^T."""
         self._check_compatible(other)
-        return self.dual().sum_with(other.dual()).dual()
+        ctx, n = self.ctx, self.n
+        if other.k < self.k:
+            # the Gram matrix is k1 x (n - k2): smallest with the smaller code first
+            return other.intersect(self)
+        if self.k == 0 or other.k == n:
+            return LinearCode(ctx, n, self.matrix, self.pivots)
+        H2 = other.dual()
+        # H2 is the identity on its pivot columns
+        h_free = _free_columns(n, H2.pivots)
+        gram = field_matmul(ctx, self.matrix[:, h_free], H2.matrix[:, h_free].T)
+        gram = ctx.add_table[gram, self.matrix[:, list(H2.pivots)]]
+        R, piv = rref(ctx, gram.T)
+        null = LinearCode(ctx, self.k, R, piv).dual()
+        # N and G1 are both in RREF, so N G1 is too, with pivots G1's at N's;
+        # G1 is the identity on its pivot columns, where N G1 is N itself
+        is_free = _free_columns(n, self.pivots)
+        NG = np.empty((null.k, n), dtype=np.int64)
+        NG[:, list(self.pivots)] = null.matrix
+        NG[:, is_free] = field_matmul(ctx, null.matrix, self.matrix[:, is_free])
+        return LinearCode(ctx, n, NG, tuple(self.pivots[c] for c in null.pivots))
 
     def hermitian_dual(self, base_q: int) -> LinearCode:
         """Dual under sum(u_i v_i^q) over GF(base_q^2): Frobenius of the dual.
@@ -257,6 +306,58 @@ class LinearCode:
         floor = self.min_weight(cap)
         gen = np.vstack([sub.matrix, ext])
         return _min_weight_scan(self.ctx, gen, sub.k, floor)
+
+
+def _free_columns(n: int, pivots) -> np.ndarray:
+    """Boolean mask of the n columns that are not pivots."""
+    is_free = np.ones(n, dtype=bool)
+    is_free[list(pivots)] = False
+    return is_free
+
+
+def field_matmul(ctx: FieldContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The product A B over GF(q) of encoding matrices A (r x m) and B (m x s).
+
+    With x the field's polynomial variable, A = sum_i x^i A_i over its e
+    GF(p) digit planes, and likewise B; then A B = sum_u x^u S_u with
+    S_u = sum_{i+j=u} A_i B_j, each plane product one float64 matmul.  The
+    entries of S_u are integers below m e (p-1)^2, exact while that is
+    under 2^53, which is checked.  Each S_u is reduced mod p, and x^u for
+    u >= e folds back onto the e digits through the field's digit table.
+    """
+    require_tables(ctx)
+    A, B = np.asarray(A), np.asarray(B)
+    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
+        raise ValueError(f"cannot multiply shapes {A.shape} and {B.shape}")
+    p, e = ctx.p, ctx.e
+    m = A.shape[1]
+    if m * e * (p - 1) ** 2 >= _FLOAT_EXACT:
+        raise ValueError(f"inner dimension {m} is too large for an exact product over {ctx!r}")
+    a = _digit_planes(p, e, A)
+    b = _digit_planes(p, e, B)
+    digits = [np.zeros((A.shape[0], B.shape[1])) for _ in range(e)]
+    for u in range(2 * e - 1):
+        s_u = np.zeros_like(digits[0])
+        for i in range(max(0, u - e + 1), min(u, e - 1) + 1):
+            s_u += a[i] @ b[u - i]
+        np.fmod(s_u, p, out=s_u)
+        if u < e:
+            digits[u] += s_u
+        else:
+            for t, coef in enumerate(ctx.digit_table[ctx.pow(p, u)]):
+                if coef:
+                    digits[t] += coef * s_u
+    out = np.zeros(digits[0].shape, dtype=np.int64)
+    for t in reversed(range(e)):
+        out = out * p + np.fmod(digits[t], p).astype(np.int64)
+    return out
+
+
+def _digit_planes(p: int, e: int, M: np.ndarray) -> list[np.ndarray]:
+    """The GF(p) digits of each encoding in M, one float64 plane per digit."""
+    if e == 1:
+        return [M.astype(np.float64)]
+    return [((M // p**t) % p).astype(np.float64) for t in range(e)]
 
 
 def _component_expansion(ctx: FieldContext, gen: np.ndarray) -> np.ndarray:

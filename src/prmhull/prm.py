@@ -24,6 +24,11 @@ from .points import affine_points, projective_points
 from .polynomials import evaluate_monomials, evaluate_polynomials, grlex_key
 
 
+# Each cached code keeps its memoised dual alive, so the code caches are
+# bounded.  `verify all` builds 74 PRM and 24 RM codes; it evicts none.
+CODE_CACHE_SIZE = 128
+
+
 def binom(n: int, r: int) -> int:
     """Binomial coefficient with C(n, r) = 0 for r < 0 or n < r."""
     if r < 0 or n < r:
@@ -78,7 +83,7 @@ def bounded_monomials(nvars: int, d: int, cap: int) -> list:
     return sorted(out, key=grlex_key)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CODE_CACHE_SIZE)
 def prm_code(ctx: FieldContext, m: int, d: int) -> LinearCode:
     """The projective Reed-Muller code of degree d over P^m."""
     if not 1 <= d <= m * (ctx.q - 1):
@@ -96,7 +101,7 @@ def plane_span(ctx: FieldContext, polys: list) -> LinearCode:
     return LinearCode.from_rows(ctx, rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CODE_CACHE_SIZE)
 def rm_code(ctx: FieldContext, m: int, d: int) -> LinearCode:
     """The affine Reed-Muller code of order d over A^m."""
     if not 0 <= d <= m * (ctx.q - 1):

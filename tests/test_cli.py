@@ -281,12 +281,48 @@ def test_refused_field_leaves_no_point_set_cached(capsys):
 
 
 def test_verify_negative_cap_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "eaqecc", "--q", "3", "--purity", "--cap", "-5")
+    assert code == 2
+    assert out == ""
+    assert "--cap" in json.loads(err)["error"]
+
+
+# one ill-typed value per option that has a type, on every subcommand
+TYPE_ERRORS = [
+    (argv, bad)
+    for argv in SUBCOMMANDS
+    for bad in (["--q", "x"], ["--q", ""])
+] + [
+    (["params", "prm", "--q", "3"], ["--d", "abc"]),
+    (["params", "rm", "--q", "3", "--d", "1"], ["--m", "1.5"]),
+    (["hull", "euclid", "--q", "3", "--d2", "2"], ["--d1", "x"]),
+    (["hull", "euclid", "--q", "3", "--d1", "1"], ["--d2", ""]),
+    (["hull", "hermitian", "--q", "3"], ["--d", "abc"]),
+    (["hull", "affine-hermitian", "--q", "3"], ["--d", "-"]),
+    (["verify", "eaqecc", "--q", "3", "--purity"], ["--cap", "-5"]),
+    (["verify", "eaqecc", "--q", "3", "--purity"], ["--cap", "abc"]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, bad", TYPE_ERRORS, ids=[" ".join(a + b) for a, b in TYPE_ERRORS]
+)
+def test_argument_type_errors_give_a_json_record(capsys, argv, bad):
+    code, out, err = run_cli(capsys, *argv, *bad)
+    assert code == 2
+    assert out == ""
+    record = json.loads(err)
+    assert record["command"] == argv[0]
+    assert bad[0] in record["error"]
+
+
+def test_help_still_prints_usage(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "eaqecc", "--q", "3", "--purity", "--cap", "-5"])
-    assert exc.value.code == 2
+        main(["verify", "--help"])
+    assert exc.value.code == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--cap" in captured.err
+    assert captured.out.startswith("usage: prmhull verify")
+    assert captured.err == ""
 
 
 def test_verify_zero_cap_skips_every_purity_probe(capsys):

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import random
@@ -7,10 +8,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prmhull.codes import EnumerationBudgetError, LinearCode, rref
+from prmhull.codes import EnumerationBudgetError, LinearCode, field_matmul, rref
 from prmhull.fields import field_for_size
 
 
@@ -320,6 +321,137 @@ def test_kernel_matches_reference_and_identities(pair):
     assert inter == other.intersect(c)
     assert inter.is_subcode_of(c) and inter.is_subcode_of(other)
     assert inter.k + c.sum_with(other).k == c.k + other.k
+
+
+def _reference_intersect(c1, c2):
+    """dual(dual(C1) + dual(C2)), every step on the whole-row reference kernel."""
+    ctx, n = c1.ctx, c1.n
+    H1, _ = _reference_dual(c1)
+    H2, _ = _reference_dual(c2)
+    R, piv = _reference_rref(ctx, np.vstack([H1, H2]).reshape(-1, n))
+    return _reference_dual(LinearCode(ctx, n, R, piv))
+
+
+def _draw_code(draw, ctx, n, k):
+    """A random code of dimension exactly k: identity on k random columns."""
+    pivots = sorted(draw(st.permutations(range(n)))[:k])
+    rows = []
+    for pc in pivots:
+        row = draw(st.lists(st.integers(0, ctx.q - 1), min_size=n, max_size=n))
+        for c in pivots:
+            row[c] = int(c == pc)
+        rows.append(row)
+    code = LinearCode.from_rows(ctx, rows, n=n)
+    assert code.k == k
+    return code
+
+
+@st.composite
+def _pairs_by_stratum(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5, 8, 9, 16]))
+    ctx = field_for_size(q)
+    n = draw(st.integers(1, 9))
+    stratum = draw(st.sampled_from(["sum < n", "sum = n", "sum > n", "zero", "whole"]))
+    if stratum == "sum < n":
+        k1 = draw(st.integers(0, n - 1))
+        k2 = draw(st.integers(0, n - 1 - k1))
+    elif stratum == "sum = n":
+        k1 = draw(st.integers(0, n))
+        k2 = n - k1
+    elif stratum == "sum > n":
+        k1 = draw(st.integers(1, n))
+        k2 = draw(st.integers(n - k1 + 1, n))
+    else:
+        k1 = 0 if stratum == "zero" else n
+        k2 = draw(st.integers(0, n))
+    return ctx, n, _draw_code(draw, ctx, n, k1), _draw_code(draw, ctx, n, k2)
+
+
+# hypothesis shrinks pivots towards a prefix of the columns; this pair has
+# pivots elsewhere, so the intersection's pivots are not its null space's
+_SPREAD_PIVOTS = (
+    field_for_size(2),
+    4,
+    LinearCode.from_rows(field_for_size(2), [(0, 1, 1, 0), (0, 0, 0, 1)]),
+    LinearCode.from_rows(field_for_size(2), [(0, 1, 1, 0), (1, 0, 0, 0)]),
+)
+
+
+@given(_pairs_by_stratum())
+@example(_SPREAD_PIVOTS)
+@settings(max_examples=200, deadline=None)
+def test_intersect_matches_whole_row_reference(case):
+    ctx, n, c1, c2 = case
+    for a, b in ((c1, c2), (c2, c1)):
+        got = a.intersect(b)
+        assert _same(got, _reference_intersect(a, b))
+        assert got == a.dual().sum_with(b.dual()).dual()
+
+
+@st.composite
+def _codes_on_both_sides_of_half_length(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5, 8, 9, 16]))
+    ctx = field_for_size(q)
+    n = draw(st.integers(1, 10))
+    low = draw(st.integers(0, (n - 1) // 2))  # 2k < n: matroid duality
+    high = draw(st.integers((n + 1) // 2, n))  # 2k >= n: check-matrix elimination
+    return [_draw_code(draw, ctx, n, k) for k in (low, high)]
+
+
+@given(_codes_on_both_sides_of_half_length())
+@settings(max_examples=200, deadline=None)
+def test_dual_matches_check_matrix_construction_on_both_sides(codes):
+    low, high = codes
+    assert 2 * low.k < low.n <= 2 * high.k
+    for c in codes:
+        fresh = LinearCode(c.ctx, c.n, c.matrix, c.pivots)
+        assert _same(fresh.dual(), _reference_dual(c))
+
+
+def _scalar_matmul(ctx, A, B):
+    """The product by ctx.add / ctx.mul, one entry at a time."""
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for i in range(A.shape[0]):
+        for j in range(B.shape[1]):
+            acc = 0
+            for l in range(A.shape[1]):
+                acc = ctx.add(acc, ctx.mul(int(A[i, l]), int(B[l, j])))
+            out[i, j] = acc
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25, 27, 49, 125])
+def test_field_matmul_matches_scalar_triple_loop(q):
+    ctx = field_for_size(q)
+    rng = np.random.default_rng(q)
+    shapes = [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0), (1, 1, 1), (4, 7, 5), (6, 11, 3)]
+    for r, m, s in shapes:
+        A = rng.integers(0, q, size=(r, m))
+        B = rng.integers(0, q, size=(m, s))
+        got = field_matmul(ctx, A, B)
+        assert got.shape == (r, s)
+        assert np.array_equal(got, _scalar_matmul(ctx, A, B))
+    # every pair of elements, so each product of digit planes is exercised,
+    # and an inner dimension of q summing all elements
+    elems = np.arange(q).reshape(1, q)
+    assert np.array_equal(field_matmul(ctx, elems.T, elems), ctx.mul_table)
+    total = functools.reduce(ctx.add, range(q))
+    assert field_matmul(ctx, np.ones((1, q), dtype=np.int64), elems.T).tolist() == [[total]]
+
+
+def test_field_matmul_refuses_products_past_float_exactness():
+    # m e (p-1)^2 < 2^53 is the exactness bound; empty outer dimensions make
+    # an inner dimension of up to 2^53 cost nothing to pass; at q = 2 and 3
+    # the bound is met with equality
+    for q in (2, 3, 125, 128, 509):
+        ctx = field_for_size(q)
+        limit = ((1 << 53) - 1) // (ctx.e * (ctx.p - 1) ** 2)
+        ok = field_matmul(ctx, np.zeros((0, limit), int), np.zeros((limit, 0), int))
+        assert ok.shape == (0, 0)
+        with pytest.raises(ValueError, match="exact"):
+            field_matmul(ctx, np.zeros((0, limit + 1), int), np.zeros((limit + 1, 0), int))
+    with pytest.raises(ValueError):
+        field_matmul(field_for_size(4), np.zeros((2, 3), int), np.zeros((2, 3), int))
 
 
 def test_dual_is_memoised():

@@ -1,9 +1,16 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
+from prmhull.cli import main
+from prmhull.codes import field_matmul
+from prmhull.euclidean_hull import relative_hull_dim
 from prmhull.fields import field_for_size, field_make
 from prmhull.points import affine_points, projective_points
 from prmhull.prm import (
+    CODE_CACHE_SIZE,
     CodeParams,
     DualDescription,
     binom,
@@ -156,3 +163,35 @@ def test_codes_beyond_table_limit_refused_before_points_are_built():
     with pytest.raises(ValueError, match="dense tables"):
         rm_code(big, 2, 1)
     assert (projective_points.cache_info(), affine_points.cache_info()) == infos
+
+
+@pytest.mark.parametrize(
+    "q, pairs",
+    [(16, [(3, 10), (10, 20), (5, 20)]), (25, [(5, 12), (12, 30), (6, 30)])],
+)
+def test_kernel_self_checks_at_larger_q(q, pairs):
+    # both dual paths (2k < n and 2k >= n) and congruent and other pairs
+    ctx = field_for_size(q)
+    for d in sorted({d for pair in pairs for d in pair}):
+        code = prm_code(ctx, 2, d)
+        dual = code.dual()
+        assert code.k + dual.k == code.n
+        assert not field_matmul(ctx, code.matrix, dual.matrix.T).any()
+    for d1, d2 in pairs:
+        c1, c2 = prm_code(ctx, 2, d1), prm_code(ctx, 2, d2)
+        inter = c1.intersect(c2)
+        assert inter.is_subcode_of(c1) and inter.is_subcode_of(c2)
+        assert inter.k == relative_hull_dim(q, d1, d2)
+
+
+def test_code_caches_are_bounded_and_hold_the_verify_all_working_set(goldens_dir):
+    caches = (prm_code, rm_code)
+    for cache in caches:
+        assert cache.cache_info().maxsize == CODE_CACHE_SIZE
+        cache.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "all", "--goldens", str(goldens_dir)]) == 0
+    prm_info, rm_info = (cache.cache_info() for cache in caches)
+    # every code built is still cached: verify all evicts nothing
+    assert (prm_info.misses, rm_info.misses) == (74, 24)
+    assert (prm_info.currsize, rm_info.currsize) == (74, 24)
