@@ -450,7 +450,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.q is not None:
             _check_field_sizes(args.q)
         return args.func(args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         _emit({"command": args.command, "error": str(exc)}, stream=sys.stderr)
         return 2
 

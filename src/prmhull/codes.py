@@ -49,22 +49,25 @@ It also commutes with taking duals, dual(frob X) = frob(dual X), so the
 Hermitian dual's own dual is frob(C) and is filled in up front, which
 saves `intersect(C, C^(perp h))` one more elimination.
 
-Minimum weight enumerates the message space in blocks.  Messages are
-expanded into GF(p) digits and multiplied against a GF(p)-component
-expansion of the generator matrix with a float64 matmul (exact at these
-magnitudes), then reduced mod p; a coordinate is nonzero iff any of its
-e components is.  Only normalised messages are scanned, those whose
-leading (highest-index) nonzero symbol is 1: message index i holds
-symbol (i // q^j) % q for row j, so they are the index ranges
-[q^j, 2 q^j), because encoding 1 is the field's one.  Every nonzero
-codeword is a nonzero scalar multiple of exactly one of them and has its
-weight, so this is exact and does 1/(q-1) of the work.  The full-code
-weight is kept in the `_min_weight` slot.  `min_weight_excluding` scans
-only the ranges whose leading row lies outside the subcode (C minus a
-subspace is closed under nonzero scalars too) and stops at the first
-block that reaches the full-code weight, below which nothing can lie.
-The cap makes infeasible enumerations an explicit error, never an
-estimate: `q^k > cap` refuses every call, memoised or not.
+Membership needs no elimination either: the RREF generator G is the
+identity on its pivot columns, so R - R[:, pivots] G, one `field_matmul`,
+is zero exactly on the rows of R that lie in the code.
+
+Minimum weight enumerates the message space in blocks: each block of
+messages is one `field_matmul` against the generator, and a codeword's
+weight is its count of nonzero symbols.  Only normalised messages are
+scanned, those whose leading (highest-index) nonzero symbol is 1:
+message index i holds symbol (i // q^j) % q for row j, so they are the
+index ranges [q^j, 2 q^j), because encoding 1 is the field's one.  Every
+nonzero codeword is a nonzero scalar multiple of exactly one of them and
+has its weight, so this is exact and does 1/(q-1) of the work.  The
+full-code weight is kept in the `_min_weight` slot.
+`min_weight_excluding` scans only the ranges whose leading row lies
+outside the subcode (C minus a subspace is closed under nonzero scalars
+too) and stops at the first block that reaches the full-code weight,
+below which nothing can lie.  The cap makes infeasible enumerations an
+explicit error, never an estimate: `q^k > cap` refuses every call,
+memoised or not.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ import numpy as np
 from .fields import FieldContext, require_tables
 
 DEFAULT_WEIGHT_CAP = 20_000_000
-_BLOCK = 1 << 15
+_BLOCK = 1 << 13
 _FLOAT_EXACT = 1 << 53  # float64 holds every integer below this exactly
 
 
@@ -247,15 +250,10 @@ class LinearCode:
     # -- membership ---------------------------------------------------------------
 
     def _reduce_rows(self, rows: np.ndarray) -> np.ndarray:
-        ctx = self.ctx
-        MUL, SUB = ctx.mul_table, ctx.sub_table
-        R = np.array(rows, dtype=np.int64)
-        for r, c in enumerate(self.pivots):
-            coef = R[:, c].copy()
-            hits = np.nonzero(coef)[0]
-            if hits.size:
-                R[hits] = SUB[R[hits], MUL[coef[hits][:, None], self.matrix[r][None, :]]]
-        return R
+        """R - R[:, pivots] G: zero exactly on the rows that lie in the code."""
+        R = np.asarray(rows, dtype=np.int64)
+        coef = R[:, list(self.pivots)]
+        return self.ctx.sub_table[R, field_matmul(self.ctx, coef, self.matrix)]
 
     def contains(self, vector) -> bool:
         v = np.array(vector, dtype=np.int64).reshape(1, -1)
@@ -335,18 +333,21 @@ def field_matmul(ctx: FieldContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise ValueError(f"inner dimension {m} is too large for an exact product over {ctx!r}")
     a = _digit_planes(p, e, A)
     b = _digit_planes(p, e, B)
-    digits = [np.zeros((A.shape[0], B.shape[1])) for _ in range(e)]
+    digits = []
     for u in range(2 * e - 1):
-        s_u = np.zeros_like(digits[0])
-        for i in range(max(0, u - e + 1), min(u, e - 1) + 1):
+        i0, i1 = max(0, u - e + 1), min(u, e - 1)
+        s_u = a[i0] @ b[u - i0]
+        for i in range(i0 + 1, i1 + 1):
             s_u += a[i] @ b[u - i]
         np.fmod(s_u, p, out=s_u)
         if u < e:
-            digits[u] += s_u
+            digits.append(s_u)
         else:
             for t, coef in enumerate(ctx.digit_table[ctx.pow(p, u)]):
                 if coef:
                     digits[t] += coef * s_u
+    if e == 1:
+        return digits[0].astype(np.int64)  # already reduced
     out = np.zeros(digits[0].shape, dtype=np.int64)
     for t in reversed(range(e)):
         out = out * p + np.fmod(digits[t], p).astype(np.int64)
@@ -360,41 +361,22 @@ def _digit_planes(p: int, e: int, M: np.ndarray) -> list[np.ndarray]:
     return [((M // p**t) % p).astype(np.float64) for t in range(e)]
 
 
-def _component_expansion(ctx: FieldContext, gen: np.ndarray) -> np.ndarray:
-    """GF(p)-digit matrix of the generator: row e*i+l expands alpha^l * row i."""
-    p, e = ctx.p, ctx.e
-    k, n = gen.shape
-    out = np.empty((e * k, e * n), dtype=np.float64)
-    digits = ctx.digit_table
-    alpha = p if e > 1 else 1
-    scale = 1
-    for l in range(e):
-        scaled = gen if scale == 1 else ctx.mul_table[scale, gen]
-        out[np.arange(k) * e + l, :] = digits[scaled].reshape(k, e * n)
-        scale = ctx.mul(scale, alpha)
-    return out
-
-
 def _min_weight_scan(ctx: FieldContext, gen: np.ndarray, j0: int, floor: int) -> int:
     """Minimum symbol weight over the normalised messages with leading row >= j0.
 
     Those are the message indices in [q^j, 2 q^j) for j = j0 .. k-1; the
     scan returns as soon as a block reaches `floor`, a known lower bound.
     """
-    require_tables(ctx)
-    p, e, q = ctx.p, ctx.e, ctx.q
+    q = ctx.q
     k, n = gen.shape
-    ghat = _component_expansion(ctx, gen)
-    pw = p ** np.arange(e * k, dtype=np.int64)
+    pw = q ** np.arange(k, dtype=np.int64)
     best = n + 1
     for j in range(j0, k):
         start = q**j
         for lo in range(start, 2 * start, _BLOCK):
             idx = np.arange(lo, min(lo + _BLOCK, 2 * start), dtype=np.int64)
-            digits = ((idx[:, None] // pw) % p).astype(np.float64)
-            cw = (digits @ ghat) % p
-            weights = (cw.reshape(len(idx), n, e) != 0).any(axis=2).sum(axis=1)
-            best = min(best, int(weights.min()))
+            codewords = field_matmul(ctx, (idx[:, None] // pw) % q, gen)
+            best = min(best, int(np.count_nonzero(codewords, axis=1).min()))
             if best <= floor:
                 return best
     return best

@@ -190,27 +190,28 @@ def purity_sweep(q: int, cap: int = DEFAULT_WEIGHT_CAP) -> list[dict]:
     return records
 
 
+_TABLE1_PARAMS = ("n", "kappa", "delta_x", "delta_z", "c")
+
+
 def table1_diff(golden_path: str | Path) -> list[dict]:
-    """Each golden asym row must reproduce exactly from the closed forms."""
+    """Each golden asym row must reproduce exactly from the closed forms.
+
+    A file without every column, or with a short row, raises ValueError.
+    """
     records = []
     with open(golden_path, newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        columns = reader.fieldnames or ()
+        missing = [c for c in ("q", "d1", "d2", *_TABLE1_PARAMS) if c not in columns]
+        if missing:
+            raise ValueError(f"{golden_path}: missing columns {', '.join(missing)}")
+        for row in reader:
+            if None in row.values():
+                raise ValueError(f"{golden_path}: row on line {reader.line_num} is short")
             q, d1, d2 = int(row["q"]), int(row["d1"]), int(row["d2"])
             params = qt.prm_asym_eaqecc(q, d1, d2)
-            expected = {
-                "n": int(row["n"]),
-                "kappa": int(row["kappa"]),
-                "delta_x": int(row["delta_x"]),
-                "delta_z": int(row["delta_z"]),
-                "c": int(row["c"]),
-            }
-            got = {
-                "n": params.n,
-                "kappa": params.kappa,
-                "delta_x": params.delta_x,
-                "delta_z": params.delta_z,
-                "c": params.c,
-            }
+            expected = {name: int(row[name]) for name in _TABLE1_PARAMS}
+            got = {name: getattr(params, name) for name in _TABLE1_PARAMS}
             records.append(
                 {
                     "check": "eaqecc-reference-table",

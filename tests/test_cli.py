@@ -191,6 +191,40 @@ def test_verify_eaqecc_herm_warns_but_passes(capsys, goldens_dir):
     assert jlines(out)[-1]["failures"] == 0
 
 
+def _golden_without_kappa(src, dest):
+    rows = src.read_text().splitlines()
+    drop = rows[0].split(",").index("kappa")
+    cut = [",".join(f for i, f in enumerate(row.split(",")) if i != drop) for row in rows]
+    dest.write_text("\n".join(cut) + "\n")
+
+
+def _golden_with_short_row(src, dest):
+    rows = src.read_text().splitlines()
+    rows[2] = ",".join(rows[2].split(",")[:-2])
+    dest.write_text("\n".join(rows) + "\n")
+
+
+MALFORMED_GOLDENS = {
+    "missing column": (_golden_without_kappa, "kappa"),
+    "short row": (_golden_with_short_row, "line 3"),
+    "directory": (lambda src, dest: dest.mkdir(), "directory"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_GOLDENS))
+def test_malformed_goldens_exit_2(capsys, tmp_path, goldens_dir, case):
+    # exit 1 means a verification mismatch; a bad input file is a usage error
+    make, named = MALFORMED_GOLDENS[case]
+    make(goldens_dir / "table1.csv", tmp_path / "table1.csv")
+    code, out, err = run_cli(capsys, "verify", "eaqecc", "--q", "3", "--goldens", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    record = json.loads(line)
+    assert record["command"] == "verify"
+    assert named in record["error"]
+
+
 def test_verify_kappa_identity_failure_fails_the_run(capsys, monkeypatch):
     # a record's status is the whole verdict: a false kappa identity fails
     # its record, and the summary and exit code follow the records

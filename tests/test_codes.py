@@ -5,6 +5,7 @@ import random
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -408,6 +409,51 @@ def test_dual_matches_check_matrix_construction_on_both_sides(codes):
         assert _same(fresh.dual(), _reference_dual(c))
 
 
+@st.composite
+def _membership_cases(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5, 8, 9, 16]))
+    ctx = field_for_size(q)
+    n = draw(st.integers(1, 9))
+    k = draw(st.one_of(st.just(0), st.just(n), st.integers(0, n)))  # zero code, whole space
+    code = _draw_code(draw, ctx, n, k)
+    where = draw(st.sampled_from(["inside", "outside", "random"]))
+    if where == "outside" and k == n:
+        where = "random"
+    rows = []
+    for _ in range(draw(st.integers(0, 3))):
+        row = np.zeros(n, dtype=np.int64)
+        for g in code.matrix:
+            row = ctx.add_table[row, ctx.mul_table[draw(st.integers(0, q - 1)), g]]
+        if where == "outside":
+            # a codeword is fixed by its pivot entries: adding a unit vector
+            # on a free column leaves the code
+            free = [c for c in range(n) if c not in code.pivots]
+            row = ctx.add_table[row, np.eye(n, dtype=np.int64)[draw(st.sampled_from(free))]]
+        elif where == "random":
+            row = np.array(draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n)))
+        rows.append(row)
+    return ctx, code, where, np.array(rows, dtype=np.int64).reshape(-1, n)
+
+
+def _in_span_by_reference(ctx, code, rows):
+    """Whether stacking rows under the code's matrix leaves the rank at k."""
+    R, _ = _reference_rref(ctx, np.vstack([code.matrix.astype(np.int64), rows]))
+    return len(R) == code.k
+
+
+@given(_membership_cases())
+@settings(max_examples=200, deadline=None)
+def test_membership_matches_whole_row_reference(case):
+    ctx, code, where, rows = case
+    for row in rows:
+        expected = _in_span_by_reference(ctx, code, row[None, :])
+        assert code.contains(row) == expected
+        if where != "random":
+            assert expected == (where == "inside")
+    other = LinearCode.from_rows(ctx, rows.tolist(), n=code.n)
+    assert other.is_subcode_of(code) == _in_span_by_reference(ctx, code, rows)
+
+
 def _scalar_matmul(ctx, A, B):
     """The product by ctx.add / ctx.mul, one entry at a time."""
     out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
@@ -569,10 +615,18 @@ def _codes_with_subcodes(draw):
     return ctx, code, subs
 
 
-@given(_codes_with_subcodes())
+@given(_codes_with_subcodes(), st.sampled_from([None, 1, 3, 7]))
 @settings(max_examples=150, deadline=None)
-def test_min_weight_matches_itertools_brute_force(case):
-    ctx, code, subs = case
+def test_min_weight_matches_itertools_brute_force(case, block):
+    # the default block holds every range [q^j, 2 q^j) here; the small ones
+    # split ranges across blocks, so the floor stop also fires mid-range
+    from prmhull import codes
+
+    with mock.patch.object(codes, "_BLOCK", block or codes._BLOCK):
+        _check_min_weight_against_brute_force(*case)
+
+
+def _check_min_weight_against_brute_force(ctx, code, subs):
     zero = subs[0]
     assert [s.k for s in subs] == list(range(code.k + 1))
     if code.k == 0:

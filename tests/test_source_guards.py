@@ -9,6 +9,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "prmhull"
 ENV_READERS = {"environ", "getenv", "environb", "getenvb"}
+MATMUL_NAMES = {"matmul", "dot"}
 
 
 def _env_reads(tree: ast.AST) -> list[int]:
@@ -36,3 +37,49 @@ def test_module_reads_no_environment(path):
 def test_guard_sees_environment_reads():
     src = "import os\nfrom os import getenv\nx = os.environ.get('A')\ny = os.getenv('B')\n"
     assert _env_reads(ast.parse(src)) == [2, 3, 4]
+
+
+def _matrix_products(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, enclosing function) of each @, matmul and dot; "" at module level."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, func))
+        elif isinstance(node, ast.Attribute) and node.attr in MATMUL_NAMES:
+            found.append((node.lineno, func))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            if any(alias.name in MATMUL_NAMES for alias in node.names):
+                found.append((node.lineno, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, "")
+    return sorted(found)
+
+
+def test_codes_has_one_matrix_product():
+    # every GF(q) product in the kernel goes through field_matmul, whose
+    # float64 exactness bound is checked in one place
+    path = SRC / "codes.py"
+    products = _matrix_products(ast.parse(path.read_text(), str(path)))
+    assert products
+    assert {func for _, func in products} == {"field_matmul"}
+
+
+def test_guard_sees_matrix_products():
+    src = (
+        "from numpy import dot\n"
+        "x = a @ b\n"
+        "def f(a, b):\n"
+        "    a @= b\n"
+        "    return np.matmul(a, b)\n"
+        "class C:\n"
+        "    def g(self, a, b):\n"
+        "        return np.dot(a, b) + a.dot(b)\n"
+    )
+    assert _matrix_products(ast.parse(src)) == [
+        (1, ""), (2, ""), (4, "f"), (5, "f"), (8, "g"), (8, "g")
+    ]
