@@ -1,6 +1,6 @@
 """Exact linear algebra over GF(q): reduced row echelon form, matrix
-products, duals, intersections, Hermitian duals, and brute-force minimum
-weight.
+products, duals, intersections, Hermitian duals, and minimum weight by
+the Brouwer-Zimmermann search.
 
 A LinearCode is its RREF generator matrix (zero rows dropped), which is
 the canonical representative of the row space: two codes are equal iff
@@ -50,39 +50,61 @@ Hermitian dual's own dual is frob(C) and is filled in up front, which
 saves `intersect(C, C^(perp h))` one more elimination.
 
 Membership needs no elimination either: the RREF generator G is the
-identity on its pivot columns, so R - R[:, pivots] G, one `field_matmul`,
-is zero exactly on the rows of R that lie in the code.
+identity on its pivot columns, so R - R[:, pivots] G is zero there by
+construction, and on the free columns, one `field_matmul`, it is zero
+exactly on the rows of R that lie in the code.
 
-Minimum weight enumerates the message space in blocks: each block of
-messages is one `field_matmul` against the generator, and a codeword's
-weight is its count of nonzero symbols.  Only normalised messages are
-scanned, those whose leading (highest-index) nonzero symbol is 1:
-message index i holds symbol (i // q^j) % q for row j, so they are the
-index ranges [q^j, 2 q^j), because encoding 1 is the field's one.  Every
-nonzero codeword is a nonzero scalar multiple of exactly one of them and
-has its weight, so this is exact and does 1/(q-1) of the work.  The
-full-code weight is kept in the `_min_weight` slot.
-`min_weight_excluding` scans only the ranges whose leading row lies
-outside the subcode (C minus a subspace is closed under nonzero scalars
-too) and stops at the first block that reaches the full-code weight,
-below which nothing can lie.  The cap makes infeasible enumerations an
-explicit error, never an estimate: `q^k > cap` refuses every call,
-memoised or not.
+Minimum weight is the Brouwer-Zimmermann search (Zimmermann 1996, as
+described by Grassl, "Searching for linear codes with large minimum
+distance", 2006).  Information sets are built greedily, each on the
+nonzero columns that no earlier set used: the first is the RREF's pivots,
+so it is full, and set j, of rank r_j <= k, comes from one RREF of the
+generator with those columns moved first.  That gives a generator G_j of
+the code that is the identity on set j in its first r_j rows and zero
+there in the others, so a codeword m G_j has at least wt(m) - (k - r_j)
+nonzero symbols on set j.  Level w enumerates the messages of weight w
+whose first nonzero symbol is 1 (every nonzero codeword is a nonzero
+multiple of exactly one such message per set), in blocks of one
+`field_matmul` each, on every set with k - r_j <= w.  A set that joins at
+a later level first catches up on the levels below, because the bound
+counts a set only once it has covered every level up to w: after level w
+every codeword not yet seen has weight at least
+sum_j max(0, w + 1 - k + r_j), the sets being disjoint.  The search stops
+once the best weight found is at most that bound or a known floor, and
+after level k, where the first set alone has covered every message.
+Before each later level it compares what its sets would still need for
+the bound to reach the best weight with the first set alone through
+level k, and goes on with the first set alone when that costs no more:
+low-rate codes, with many information sets and a large weight, would
+otherwise enumerate more than all q^k messages.  The weight and the work
+are kept in the `_min_weight` slot.  `min_weight_excluding` runs the
+same search and drops the codewords that reduce to zero against the
+subcode; the bound holds for what is left, since every codeword below it
+has been seen.
+
+The cap makes infeasible searches an explicit error, never an estimate.
+It counts the messages of every level a search enters on every set, and
+the search raises before a level would take that count past the cap, so
+at cap 0 it builds no information set and forms no product.  A memoised
+weight whose search counted more than the cap refuses too.
 """
 
 from __future__ import annotations
+
+import itertools
+from math import comb
 
 import numpy as np
 
 from .fields import FieldContext, require_tables
 
 DEFAULT_WEIGHT_CAP = 20_000_000
-_BLOCK = 1 << 13
+_MESSAGE_BLOCK = 1 << 13
 _FLOAT_EXACT = 1 << 53  # float64 holds every integer below this exactly
 
 
 class EnumerationBudgetError(RuntimeError):
-    """Enumeration would exceed the codeword budget."""
+    """The search would enumerate more messages than the budget allows."""
 
 
 def rref(ctx: FieldContext, rows: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -131,7 +153,7 @@ class LinearCode:
         self.matrix.setflags(write=False)
         self.pivots = pivots
         self._dual: LinearCode | None = None
-        self._min_weight: int | None = None
+        self._min_weight: tuple[int, int] | None = None  # (weight, messages counted)
 
     @classmethod
     def from_rows(cls, ctx: FieldContext, rows, n: int | None = None) -> LinearCode:
@@ -250,10 +272,15 @@ class LinearCode:
     # -- membership ---------------------------------------------------------------
 
     def _reduce_rows(self, rows: np.ndarray) -> np.ndarray:
-        """R - R[:, pivots] G: zero exactly on the rows that lie in the code."""
+        """R - R[:, pivots] G on the free columns: zero exactly on the rows of
+        R that lie in the code (on the pivot columns, where G is the
+        identity, it is zero by construction)."""
         R = np.asarray(rows, dtype=np.int64)
+        is_free = _free_columns(self.n, self.pivots)
         coef = R[:, list(self.pivots)]
-        return self.ctx.sub_table[R, field_matmul(self.ctx, coef, self.matrix)]
+        return self.ctx.sub_table[
+            R[:, is_free], field_matmul(self.ctx, coef, self.matrix[:, is_free])
+        ]
 
     def contains(self, vector) -> bool:
         v = np.array(vector, dtype=np.int64).reshape(1, -1)
@@ -267,21 +294,20 @@ class LinearCode:
 
     # -- minimum weight ---------------------------------------------------------------
 
-    def _refuse_over_cap(self, cap: int) -> None:
-        total = self.ctx.q**self.k
-        if total > cap:
-            raise EnumerationBudgetError(
-                f"q^k = {total} codewords exceeds the cap {cap}"
-            )
-
     def min_weight(self, cap: int = DEFAULT_WEIGHT_CAP) -> int:
-        """Exact minimum Hamming weight by message-space enumeration (memoised)."""
+        """Exact minimum Hamming weight by Brouwer-Zimmermann search (memoised).
+
+        Raises EnumerationBudgetError when the search needs more than `cap`
+        messages, also when the weight is already known.
+        """
         if self.k == 0:
             raise ValueError("zero code has no nonzero codeword")
-        self._refuse_over_cap(cap)
         if self._min_weight is None:
-            self._min_weight = _min_weight_scan(self.ctx, self.matrix, 0, floor=1)
-        return self._min_weight
+            self._min_weight = _brouwer_zimmermann(self, cap, floor=1)
+        weight, work = self._min_weight
+        if work > cap:
+            raise EnumerationBudgetError(f"{work} messages exceed the cap {cap}")
+        return weight
 
     def min_weight_excluding(
         self, sub: LinearCode, cap: int = DEFAULT_WEIGHT_CAP
@@ -289,21 +315,18 @@ class LinearCode:
         """Minimum weight over this code minus a verified subcode.
 
         Returns None (the "empty" signal) when the subcode is the whole
-        code.  Enumerates exactly the complement: the generator stacks a
-        basis of the subcode below extension rows, and only messages whose
-        leading nonzero symbol sits on an extension row are scanned.  The
-        scan stops once it meets the full-code weight.
+        code.  Otherwise runs the search, dropping codewords that lie in the
+        subcode, and stops once it meets the full-code weight, below which
+        nothing can lie.  That weight is asked for first, so a refusal
+        comes before any product.
         """
         self._check_compatible(sub)
+        floor = self.min_weight(cap) if sub.k < self.k else None
         if not sub.is_subcode_of(self):
             raise ValueError("excluded code is not a subcode")
-        self._refuse_over_cap(cap)
-        ext, _ = rref(self.ctx, sub._reduce_rows(self.matrix))
-        if ext.shape[0] == 0:
+        if sub.k == self.k:
             return None
-        floor = self.min_weight(cap)
-        gen = np.vstack([sub.matrix, ext])
-        return _min_weight_scan(self.ctx, gen, sub.k, floor)
+        return _brouwer_zimmermann(self, cap, floor, sub)[0]
 
 
 def _free_columns(n: int, pivots) -> np.ndarray:
@@ -361,22 +384,97 @@ def _digit_planes(p: int, e: int, M: np.ndarray) -> list[np.ndarray]:
     return [((M // p**t) % p).astype(np.float64) for t in range(e)]
 
 
-def _min_weight_scan(ctx: FieldContext, gen: np.ndarray, j0: int, floor: int) -> int:
-    """Minimum symbol weight over the normalised messages with leading row >= j0.
+def _brouwer_zimmermann(
+    code: LinearCode, cap: int, floor: int, sub: LinearCode | None = None
+) -> tuple[int, int]:
+    """Minimum weight over the code, or over the code minus `sub`, and the
+    number of messages counted against `cap`.
 
-    Those are the message indices in [q^j, 2 q^j) for j = j0 .. k-1; the
-    scan returns as soon as a block reaches `floor`, a known lower bound.
+    Returns as soon as a block reaches `floor`, a known lower bound.  Each
+    information set is [generator, rank, last level enumerated].
     """
-    q = ctx.q
-    k, n = gen.shape
-    pw = q ** np.arange(k, dtype=np.int64)
-    best = n + 1
-    for j in range(j0, k):
-        start = q**j
-        for lo in range(start, 2 * start, _BLOCK):
-            idx = np.arange(lo, min(lo + _BLOCK, 2 * start), dtype=np.int64)
-            codewords = field_matmul(ctx, (idx[:, None] // pw) % q, gen)
-            best = min(best, int(np.count_nonzero(codewords, axis=1).min()))
-            if best <= floor:
-                return best
-    return best
+    ctx, k, n = code.ctx, code.k, code.n
+    sets = [[code.matrix, k, 0]]
+    unused = _free_columns(n, code.pivots) & code.matrix.any(axis=0)
+    best, work = n + 1, 0
+    for w in range(1, k + 1):
+        if w > 1 and _cheaper_to_exhaust(ctx.q, k, w, best, [r for _, r, _ in sets]):
+            del sets[1:]
+            unused[:] = False
+        j = 0
+        # ranks never grow from one set to the next, so the sets that
+        # contribute at level w are a prefix
+        while j < len(sets) and k - sets[j][1] <= w:
+            gen, _, done = sets[j]
+            for level in range(done + 1, w + 1):
+                work += _level_size(ctx.q, k, level)
+                if work > cap:
+                    raise EnumerationBudgetError(f"{work} messages exceed the cap {cap}")
+                for messages in _normalised_messages(ctx.q, k, level):
+                    codewords = field_matmul(ctx, messages, gen)
+                    if sub is not None:
+                        codewords = codewords[sub._reduce_rows(codewords).any(axis=1)]
+                    if len(codewords):
+                        best = min(best, int(np.count_nonzero(codewords, axis=1).min()))
+                    if best <= floor:
+                        return best, work
+            sets[j][2] = w
+            j += 1
+            if j == len(sets) and unused.any():
+                gen, info = _information_set(code, unused)
+                unused[info] = False
+                sets.append([gen, len(info), 0])
+        if best <= sum(max(0, w + 1 - k + r) for _, r, done in sets if done == w):
+            break
+    return best, work
+
+
+def _cheaper_to_exhaust(q: int, k: int, w: int, best: int, ranks: list[int]) -> bool:
+    """Whether the first set alone through level k, which is exhaustive,
+    costs no more than levels w.. on the sets of these ranks until their
+    bound reaches `best`."""
+    exhaustive = sum(_level_size(q, k, level) for level in range(w, k + 1))
+    search = 0
+    for level in range(w, k + 1):
+        search += _level_size(q, k, level) * sum(k - r <= level for r in ranks)
+        if search >= exhaustive:
+            return True
+        if sum(max(0, level + 1 - k + r) for r in ranks) >= best:
+            return False
+    return True
+
+
+def _level_size(q: int, k: int, w: int) -> int:
+    """The number of normalised messages of weight w on k rows."""
+    return comb(k, w) * (q - 1) ** (w - 1)
+
+
+def _information_set(code: LinearCode, unused: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """A generator that is systematic on a maximal independent set of the
+    unused columns, and those columns: RREF with the unused columns first."""
+    cols = np.flatnonzero(unused)
+    order = np.concatenate([cols, np.flatnonzero(~unused)])
+    R, piv = rref(code.ctx, code.matrix[:, order])
+    gen = np.empty_like(R)
+    gen[:, order] = R
+    return gen, [int(order[c]) for c in piv if c < len(cols)]
+
+
+def _normalised_messages(q: int, k: int, w: int):
+    """The messages of weight w whose first nonzero symbol is 1, in blocks.
+
+    On each support of w rows the other w - 1 symbols are the nonzero
+    encodings 1 .. q-1, read as the base-(q-1) digits of an index.
+    """
+    tails = (q - 1) ** (w - 1)
+    pw = (q - 1) ** np.arange(w - 1, dtype=np.int64)
+    supports = itertools.combinations(range(k), w)
+    while chunk := list(itertools.islice(supports, max(1, _MESSAGE_BLOCK // tails))):
+        for lo in range(0, tails, _MESSAGE_BLOCK):
+            idx = np.arange(lo, min(lo + _MESSAGE_BLOCK, tails), dtype=np.int64)
+            symbols = np.ones((len(idx), w), dtype=np.int64)
+            symbols[:, 1:] = 1 + (idx[:, None] // pw) % (q - 1)
+            rows = np.repeat(np.array(chunk, dtype=np.int64), len(idx), axis=0)
+            messages = np.zeros((len(rows), k), dtype=np.int64)
+            np.put_along_axis(messages, rows, np.tile(symbols, (len(chunk), 1)), axis=1)
+            yield messages

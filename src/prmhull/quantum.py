@@ -63,8 +63,8 @@ def asym_from_codes(
     d1 = c1.dual()
     d2 = c2.dual()
     if d1.k and d2.k:
-        # full-code weights first: they refuse under exactly the budget the
-        # excluding ones would, so a refusal comes before any intersection
+        # full-code weights first: at cap 0 they refuse before any
+        # intersection is built (an excluding search may need more work)
         try:
             wt1 = d1.min_weight(cap=weight_cap)
             wt2 = d2.min_weight(cap=weight_cap)
@@ -212,8 +212,8 @@ def purity_probe(
     """Compare wt(PRM_d1) with the minimum weight outside the intersection."""
     ctx = field_for_size(q)
     c1 = prm_code(ctx, 2, d1)
-    # the full-code weight refuses under the same budget as the excluding
-    # one, so a refusal comes before any intersection is built
+    # the full-code weight first: at cap 0 it refuses before any
+    # intersection is built (the excluding search may need more work)
     wt_full = c1.min_weight(cap=cap)
     hull = c1.intersect(prm_code(ctx, 2, d2))
     wt_excl = c1.min_weight_excluding(hull, cap=cap)

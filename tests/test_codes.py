@@ -161,10 +161,12 @@ def test_min_weight_repetition_and_zero():
 
 
 def test_min_weight_budget():
+    # the search certifies weight 1 on its first 12 messages, the rows
     g9 = field_for_size(9)
-    big = LinearCode.from_rows(g9, np.eye(12, dtype=int))
+    eye = np.eye(12, dtype=int)
+    assert LinearCode.from_rows(g9, eye).min_weight(cap=12) == 1
     with pytest.raises(EnumerationBudgetError):
-        big.min_weight(cap=1000)
+        LinearCode.from_rows(g9, eye).min_weight(cap=11)
 
 
 def test_min_weight_excluding_semantics():
@@ -568,7 +570,7 @@ def test_dual_memo_shared_between_threads():
     assert all(c.dual() == e for c, e in zip(codes, expected))
 
 
-# -- minimum weight: normalised messages, memo, floor ------------------------------
+# -- minimum weight: information sets, memo, floor, budget ----------------------
 
 
 def _all_codewords(ctx, matrix):
@@ -593,13 +595,24 @@ def _brute_weight_outside(ctx, code, sub):
 def _codes_with_subcodes(draw):
     q = draw(st.sampled_from([2, 3, 4, 5, 8, 9]))
     ctx = field_for_size(q)
-    n = draw(st.integers(1, 8))
     kmax = 0
-    while kmax < n and q ** (kmax + 1) <= 4096:
+    while kmax < 8 and q ** (kmax + 1) <= 4096:
         kmax += 1
     k = draw(st.integers(0, kmax))
+    # n < 2k leaves the later information sets partial or missing
+    n = draw(st.integers(max(k, 1), 2 * k + 2))
     flat = draw(st.lists(st.integers(0, q - 1), min_size=k * n, max_size=k * n))
-    code = LinearCode.from_rows(ctx, [flat[i * n : (i + 1) * n] for i in range(k)], n=n)
+    columns = [flat[i * k : (i + 1) * k] for i in range(n)]
+    # all-zero columns, and columns repeated up to a nonzero scalar
+    columns += [[0] * k] * draw(st.integers(0, 2))
+    for _ in range(draw(st.integers(0, 3))):
+        col = columns[draw(st.integers(0, n - 1))]
+        u = draw(st.integers(1, q - 1))
+        columns.append([ctx.mul(u, x) for x in col])
+    order = draw(st.permutations(range(len(columns))))
+    n = len(columns)
+    rows = [[columns[c][i] for c in order] for i in range(k)]
+    code = LinearCode.from_rows(ctx, rows, n=n)
     # a unit upper-triangular mix of a row permutation is invertible, so its
     # first s rows span an s-dimensional subcode for every s = 0 .. k
     k = code.k
@@ -618,11 +631,11 @@ def _codes_with_subcodes(draw):
 @given(_codes_with_subcodes(), st.sampled_from([None, 1, 3, 7]))
 @settings(max_examples=150, deadline=None)
 def test_min_weight_matches_itertools_brute_force(case, block):
-    # the default block holds every range [q^j, 2 q^j) here; the small ones
-    # split ranges across blocks, so the floor stop also fires mid-range
+    # the small blocks split one level on one information set across
+    # several products, so the floor stop also fires mid-level
     from prmhull import codes
 
-    with mock.patch.object(codes, "_BLOCK", block or codes._BLOCK):
+    with mock.patch.object(codes, "_MESSAGE_BLOCK", block or codes._MESSAGE_BLOCK):
         _check_min_weight_against_brute_force(*case)
 
 
@@ -639,7 +652,7 @@ def _check_min_weight_against_brute_force(ctx, code, subs):
         expected = _brute_weight_outside(ctx, code, sub)
         cold = LinearCode(ctx, code.n, code.matrix, code.pivots)
         assert cold.min_weight_excluding(sub) == expected  # floor memo cold
-        assert cold._min_weight in (None, expected_full)
+        assert cold._min_weight is None or cold._min_weight[0] == expected_full
         assert code.min_weight() == expected_full
         assert code.min_weight_excluding(sub) == expected  # floor memo warm
 
@@ -652,29 +665,126 @@ def test_second_min_weight_call_runs_no_scan(monkeypatch):
     w = c.min_weight()
 
     def no_scan(*_args, **_kwargs):
-        raise AssertionError("_min_weight_scan called")
+        raise AssertionError("_brouwer_zimmermann called")
 
-    monkeypatch.setattr(codes, "_min_weight_scan", no_scan)
+    monkeypatch.setattr(codes, "_brouwer_zimmermann", no_scan)
     assert c.min_weight() == w
 
 
 def test_memoised_min_weight_still_refuses_over_cap():
+    # the cap counts the messages the search enumerates.  This code's search
+    # takes W = 6: the 3 weight-1 messages on each of two full information
+    # sets, after which the bound 2 + 2 meets the weight 4 found
     ctx = field_for_size(4)
-    c = _random_code(ctx, random.Random(8), 3, 7)
-    assert c.min_weight(cap=64) == c.min_weight()
+
+    def fresh():
+        return _random_code(ctx, random.Random(8), 3, 7)
+
+    assert fresh().min_weight(cap=6) == 4
+    with pytest.raises(EnumerationBudgetError):
+        fresh().min_weight(cap=5)
+    c = fresh()
+    assert c.min_weight() == 4
+    assert c.min_weight(cap=6) == 4
     zero = LinearCode.from_rows(ctx, [], n=7)
     for call in (
-        lambda: c.min_weight(cap=63),
+        lambda: c.min_weight(cap=5),
         lambda: c.min_weight(cap=0),
-        lambda: c.min_weight_excluding(zero, cap=63),
+        lambda: c.min_weight_excluding(zero, cap=5),
     ):
         with pytest.raises(EnumerationBudgetError):
             call()
 
 
+def test_min_weight_excluding_refuses_exactly_past_its_own_count():
+    # excluding the third row, the search needs W = 24 messages (level 1 on
+    # two information sets, then the first set alone to the end) where the
+    # full-code weight needs 6, so cap 23 is refused by the excluding search
+    # itself, cold or with the full-code weight memoised
+    ctx = field_for_size(4)
+
+    def fresh():
+        c = _random_code(ctx, random.Random(21), 3, 7)
+        return c, LinearCode.from_rows(ctx, c.matrix[2:])
+
+    c, sub = fresh()
+    assert c.min_weight_excluding(sub, cap=24) == 4
+    assert c.min_weight(cap=6) == 3
+    with pytest.raises(EnumerationBudgetError):
+        c.min_weight_excluding(sub, cap=23)
+    c, sub = fresh()
+    with pytest.raises(EnumerationBudgetError):
+        c.min_weight_excluding(sub, cap=23)
+
+
+def test_low_rate_search_costs_little_more_than_every_message():
+    # the 13 points of the projective plane over GF(3), each column three
+    # times: every nonzero codeword has weight 27, and the 13 disjoint
+    # information sets would need level 2 on each for their bound to pass
+    # 26.  After level 1 on every set the search finishes on the first set
+    # alone, which costs less
+    ctx = field_for_size(3)
+    points = [
+        p for p in itertools.product(range(3), repeat=3) if any(p) and next(x for x in p if x) == 1
+    ]
+    c = LinearCode.from_rows(ctx, np.array(points * 3).T.tolist())
+    assert (c.k, c.n) == (3, 39)
+    assert c.min_weight() == 27
+    normalised = (3**3 - 1) // 2
+    assert c._min_weight[1] <= normalised + 3 * 13
+
+
+def test_zero_cap_refuses_before_any_elimination_or_product(monkeypatch):
+    from prmhull import codes
+
+    ctx = field_for_size(4)
+    c = _random_code(ctx, random.Random(9), 3, 7)
+    sub = LinearCode.from_rows(ctx, c.matrix[:1])
+    calls = []
+
+    def counted(name):
+        real = getattr(codes, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("rref", "field_matmul"):
+        monkeypatch.setattr(codes, name, counted(name))
+    for _ in range(2):  # cold, then with the weights memoised
+        for call in (lambda: c.min_weight(cap=0), lambda: c.min_weight_excluding(sub, cap=0)):
+            with pytest.raises(EnumerationBudgetError):
+                call()
+        assert calls == []
+        c.min_weight_excluding(sub)
+        assert "field_matmul" in calls
+        calls.clear()
+
+
+@pytest.mark.parametrize("block", [1, 5, 1 << 13])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_normalised_messages_are_each_weight_w_message_with_leading_one(q, block):
+    from prmhull import codes
+
+    with mock.patch.object(codes, "_MESSAGE_BLOCK", block):
+        for k in range(1, 6):
+            for w in range(1, k + 1):
+                got = [tuple(m) for b in codes._normalised_messages(q, k, w) for m in b]
+                expected = {
+                    m
+                    for m in itertools.product(range(q), repeat=k)
+                    if sum(x != 0 for x in m) == w and next(x for x in m if x) == 1
+                }
+                assert len(got) == len(set(got)) == codes._level_size(q, k, w)
+                assert set(got) == expected
+
+
 def test_encoding_one_is_the_identity_with_digits_one_then_zeros():
-    # the normalised message ranges [q^j, 2 q^j) put symbol 1 on the leading
-    # row; they rely on encoding 1 being the field's one, digits (1, 0, ..., 0)
+    # the minimum-weight search writes its normalised messages with symbol 1
+    # first on their support and encodings 1 .. q-1 after it; that relies on
+    # encoding 1 being the field's one, digits (1, 0, ..., 0)
     from prmhull.fields import TABLE_LIMIT, field_make, prime_power
 
     build = field_make.__wrapped__  # uncached: keep the tables of ~100 fields out of memory
