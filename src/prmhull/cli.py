@@ -55,9 +55,9 @@ def _parse_cap(text: str) -> int:
     try:
         cap = int(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad codeword cap {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad message cap {text!r}") from exc
     if cap < 0:
-        raise argparse.ArgumentTypeError(f"codeword cap must be >= 0; got {cap}")
+        raise argparse.ArgumentTypeError(f"message cap must be >= 0; got {cap}")
     return cap
 
 

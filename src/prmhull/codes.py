@@ -1,6 +1,6 @@
 """Exact linear algebra over GF(q): reduced row echelon form, matrix
-products, duals, intersections, Hermitian duals, and minimum weight by
-the Brouwer-Zimmermann search.
+products, duals, relative hulls and intersections, Frobenius images and
+Hermitian duals, and minimum weight by the Brouwer-Zimmermann search.
 
 A LinearCode is its RREF generator matrix (zero rows dropped), which is
 the canonical representative of the row space: two codes are equal iff
@@ -14,40 +14,45 @@ below the pivot row are already zero to its left).
 A code's dual is computed once and kept in its `_dual` slot.  The memo
 points one way only: a dual never refers back to the code it came from,
 so codes form no reference cycles and are freed as soon as they are
-unreachable.  The check matrix is written down directly from a
-systematic generator: identity on the free columns, negated non-pivot
-entries on the pivot columns.  When 2k >= n the generator is the RREF
-itself and the check matrix is reduced by one (n-k) x n elimination.
-When 2k < n the generator is instead the RREF taken on reversed
-columns, a k x n elimination whose pivots P_R are the right-greedy ones;
-with F their complement, [I on F, -G_R^T on P_R] already is the RREF of
-C^perp, because row f has off-identity entries only at pivots p > f
-(matroid duality: the first basis of the dual matroid is the complement
-of the last basis of the matroid).  Since C^perp^perp = C, the dual's
-own dual is pre-set to a fresh code sharing this code's read-only
-matrix, so `intersect(C, D.dual())` never eliminates D^perp^perp again.
+unreachable.  Since C^perp^perp = C, the dual's own dual is pre-set to a
+fresh code sharing this code's read-only matrix, so `intersect(C,
+D.dual())` never eliminates D^perp^perp again.
 
-Intersections come from a Gram matrix: C1 cap C2 = {m G1 : m G1 H2^T =
-0} for a check matrix H2 of C2 (its memoised dual), so the intersection
-is N G1 for N a basis of the left null space of the k1 x (n-k2) matrix
-G1 H2^T, which is the dual of the row space of its transpose.  N and G1
-are both in RREF, so N G1 is too, with G1's pivots at N's; no elimination
-of length n runs.  The code of smaller dimension plays C1, which makes
-the Gram matrix the smaller of the two choices, and since H2 and G1 are
-the identity on their pivot columns, both products run over the free
-columns only.  `field_matmul` forms each product from the GF(p)
-digit planes of its operands, one float64 BLAS matmul per pair of planes
-followed by a reduction mod p; the sums it reduces stay below
-m e (p-1)^2 for inner dimension m, exact while that is under 2^53, and a
-larger product raises ValueError.
+A check matrix is written down directly from a generator that is the
+identity on its pivot columns: identity on the free columns, negated
+non-pivot entries on the pivot columns.  The null space of any matrix M
+comes from one elimination of M on reversed columns: its pivots P are
+the right-greedy ones, and with F their complement, the check matrix
+[I on F, -R^T on P] already is in RREF, because row f has off-identity
+entries only at pivots p > f (matroid duality: the first basis of the
+dual matroid is the complement of the last basis of the matroid).  When
+2k < n the dual is that null space of the generator, one k x n
+elimination; when 2k >= n the check matrix of the RREF itself is
+reduced by one (n-k) x n elimination.
 
-The Hermitian dual needs no elimination of its own.  Frobenius x -> x^q
-is a field automorphism of GF(q^2) fixing 0 and 1, so applied entrywise
-to an RREF matrix it gives the RREF of the image code with the same
-pivots; hence C^(perp h) = frob(C^perp) is read off the memoised dual.
-It also commutes with taking duals, dual(frob X) = frob(dual X), so the
-Hermitian dual's own dual is frob(C) and is filled in up front, which
-saves `intersect(C, C^(perp h))` one more elimination.
+The relative hull C1 cap C2^perp = {m G1 : m G1 G2^T = 0} is N G1 for N
+the left null space of the k1 x k2 Gram matrix G1 G2^T, taken as above
+from one elimination of its transpose.  N and G1 are both in RREF, so
+N G1 is too, with G1's pivots at N's; no dual is built and no
+elimination of length n runs.  G2 and G1 are the identity on their
+pivot columns, so both products run over the free columns only.  The
+rank of the Gram matrix, k1 - dim(C1 cap C2^perp), is the entanglement
+count c of the EAQECC parameters (Wilde & Brun 2008).  An intersection
+is the relative hull against the memoised dual of the larger code, so
+its Gram matrix is k1 x (n-k2), the smaller of the two choices.
+`field_matmul` forms each product from the GF(p) digit planes of its
+operands, one float64 BLAS matmul per pair of planes followed by a
+reduction mod p; the sums it reduces stay below m e (p-1)^2 for inner
+dimension m, exact while that is under 2^53, and a larger product
+raises ValueError.
+
+Frobenius x -> x^q is a field automorphism of GF(q^2) fixing 0 and 1,
+so applied entrywise to an RREF matrix it gives the RREF of the image
+code with the same pivots, with no elimination.  The Hermitian dual is
+frob(C^perp), read off the memoised dual, and its own dual, frob(C), is
+filled in up front.  The Hermitian hull needs neither:
+C cap C^(perp h) = C cap frob(C)^perp is the relative hull of C against
+frob(C), from the Gram matrix G G^(q)T (Guenda, Jitman & Gulliver 2018).
 
 Membership needs no elimination either: the RREF generator G is the
 identity on its pivot columns, so R - R[:, pivots] G is zero there by
@@ -196,25 +201,14 @@ class LinearCode:
         """Euclidean dual under the standard inner product (memoised)."""
         if self._dual is None:
             ctx = require_tables(self.ctx)
-            n = self.n
-            low_rate = 2 * self.k < n
-            if low_rate:
-                # systematic on the right-greedy pivots: one k x n elimination
-                R, rpiv = rref(ctx, self.matrix[:, ::-1])
-                gen, pivots = R[:, ::-1], [n - 1 - c for c in rpiv]
+            if 2 * self.k < self.n:
+                R, piv = _null_space(ctx, self.matrix)  # one k x n elimination
             else:
-                gen, pivots = self.matrix, list(self.pivots)
-            free = np.flatnonzero(_free_columns(n, pivots))
-            H = np.zeros((len(free), n), dtype=np.int64)
-            H[np.arange(len(free)), free] = 1
-            H[:, pivots] = ctx.neg_table[gen[:, free]].T
-            if low_rate:
-                R, piv = H, tuple(free.tolist())  # already the RREF of C^perp
-            else:
+                H, _ = _check_matrix(ctx, self.matrix, self.pivots)
                 R, piv = rref(ctx, H)
-            dual = LinearCode(ctx, n, R, piv)
+            dual = LinearCode(ctx, self.n, R, piv)
             # a fresh code sharing the read-only matrix: no cycle forms
-            dual._dual = LinearCode(ctx, n, self.matrix, self.pivots)
+            dual._dual = LinearCode(ctx, self.n, self.matrix, self.pivots)
             self._dual = dual
         return self._dual
 
@@ -230,43 +224,52 @@ class LinearCode:
         R, piv = rref(self.ctx, stacked)
         return LinearCode(self.ctx, self.n, R, piv)
 
-    def intersect(self, other: LinearCode) -> LinearCode:
-        """C1 cap C2 = {m G1 : m G1 H2^T = 0}: N G1, N the left null space of G1 H2^T."""
+    def relative_hull(self, other: LinearCode) -> LinearCode:
+        """C1 cap C2^perp = {m G1 : m G1 G2^T = 0}: N G1, N the left null
+        space of the Gram matrix G1 G2^T.  No dual is eliminated."""
         self._check_compatible(other)
         ctx, n = self.ctx, self.n
-        if other.k < self.k:
-            # the Gram matrix is k1 x (n - k2): smallest with the smaller code first
-            return other.intersect(self)
-        if self.k == 0 or other.k == n:
+        if self.k == 0 or other.k == 0:
             return LinearCode(ctx, n, self.matrix, self.pivots)
-        H2 = other.dual()
-        # H2 is the identity on its pivot columns
-        h_free = _free_columns(n, H2.pivots)
-        gram = field_matmul(ctx, self.matrix[:, h_free], H2.matrix[:, h_free].T)
-        gram = ctx.add_table[gram, self.matrix[:, list(H2.pivots)]]
-        R, piv = rref(ctx, gram.T)
-        null = LinearCode(ctx, self.k, R, piv).dual()
+        # G2 is the identity on its pivot columns
+        free2 = _free_columns(n, other.pivots)
+        gram = field_matmul(ctx, self.matrix[:, free2], other.matrix[:, free2].T)
+        gram = ctx.add_table[gram, self.matrix[:, list(other.pivots)]]
+        null, null_piv = _null_space(ctx, gram.T)
         # N and G1 are both in RREF, so N G1 is too, with pivots G1's at N's;
         # G1 is the identity on its pivot columns, where N G1 is N itself
         is_free = _free_columns(n, self.pivots)
-        NG = np.empty((null.k, n), dtype=np.int64)
-        NG[:, list(self.pivots)] = null.matrix
-        NG[:, is_free] = field_matmul(ctx, null.matrix, self.matrix[:, is_free])
-        return LinearCode(ctx, n, NG, tuple(self.pivots[c] for c in null.pivots))
+        NG = np.empty((len(null), n), dtype=np.int64)
+        NG[:, list(self.pivots)] = null
+        NG[:, is_free] = field_matmul(ctx, null, self.matrix[:, is_free])
+        return LinearCode(ctx, n, NG, tuple(self.pivots[c] for c in null_piv))
 
-    def hermitian_dual(self, base_q: int) -> LinearCode:
-        """Dual under sum(u_i v_i^q) over GF(base_q^2): Frobenius of the dual.
+    def intersect(self, other: LinearCode) -> LinearCode:
+        """C1 cap C2 = C1 cap (C2^perp)^perp: the relative hull against C2's dual."""
+        self._check_compatible(other)
+        if other.k < self.k:
+            # the Gram matrix is k1 x (n - k2): smallest with the smaller code first
+            return other.intersect(self)
+        if self.k == 0 or other.k == self.n:
+            return LinearCode(self.ctx, self.n, self.matrix, self.pivots)
+        return self.relative_hull(other.dual())
+
+    def frobenius(self, base_q: int) -> LinearCode:
+        """The image under x -> x^base_q, entrywise, over GF(base_q^2).
 
         Frobenius keeps an RREF matrix in RREF with the same pivots, so no
-        elimination runs here, and the result's dual is frob(self).
+        elimination runs.
         """
         ctx = self.ctx
         if ctx.q != base_q * base_q:
             raise ValueError(f"{ctx!r} is not GF({base_q}^2)")
-        frob = ctx.power_table(base_q)
-        D = self.dual()
-        herm = LinearCode(ctx, self.n, frob[D.matrix], D.pivots)
-        herm._dual = LinearCode(ctx, self.n, frob[self.matrix], self.pivots)
+        return LinearCode(ctx, self.n, ctx.power_table(base_q)[self.matrix], self.pivots)
+
+    def hermitian_dual(self, base_q: int) -> LinearCode:
+        """Dual under sum(u_i v_i^q) over GF(base_q^2): Frobenius of the dual,
+        whose own dual is frob(self)."""
+        herm = self.dual().frobenius(base_q)
+        herm._dual = self.frobenius(base_q)
         return herm
 
     # -- membership ---------------------------------------------------------------
@@ -334,6 +337,25 @@ def _free_columns(n: int, pivots) -> np.ndarray:
     is_free = np.ones(n, dtype=bool)
     is_free[list(pivots)] = False
     return is_free
+
+
+def _check_matrix(ctx: FieldContext, gen: np.ndarray, pivots) -> tuple[np.ndarray, tuple]:
+    """[I on the free columns, -gen^T on the pivots] and its identity
+    columns: a check matrix of the code of `gen`, the identity on `pivots`."""
+    free = np.flatnonzero(_free_columns(gen.shape[1], pivots))
+    H = np.zeros((len(free), gen.shape[1]), dtype=np.int64)
+    H[np.arange(len(free)), free] = 1
+    H[:, list(pivots)] = ctx.neg_table[gen[:, free]].T
+    return H, tuple(free.tolist())
+
+
+def _null_space(ctx: FieldContext, M: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """RREF basis of {x : M x^T = 0} and its pivots, from one elimination of
+    M on reversed columns.  Its pivots P are the right-greedy ones, and the
+    check matrix written on them is already in RREF (matroid duality)."""
+    n = M.shape[1]
+    R, rpiv = rref(ctx, M[:, ::-1])
+    return _check_matrix(ctx, R[:, ::-1], [n - 1 - c for c in rpiv])
 
 
 def field_matmul(ctx: FieldContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import LinearCode
+import numpy as np
+
+from .codes import LinearCode, rref
 from .fields import field_for_size
 from .points import projective_points
 from .polynomials import (
@@ -34,9 +36,10 @@ from .polynomials import (
     basis_a2,
     basis_ad,
     evaluate_monomials,
+    evaluate_polynomials,
     overline,
 )
-from .prm import binom, dim_rm, plane_span, prm_code, rm_code
+from .prm import binom, dim_rm, prm_code, rm_code
 
 
 def _check_base(q: int) -> int:
@@ -94,9 +97,9 @@ def affine_hermitian_hull_dim(q: int, d: int) -> int:
 
 
 def affine_hull_oracle(q: int, d1: int, d2: int) -> LinearCode:
-    """Gaussian-elimination RM_d1 cap RM_d2^herm over GF(q^2)."""
+    """RM_d1 cap RM_d2^herm = RM_d1 cap frob(RM_d2)^perp over GF(q^2)."""
     ctx = field_for_size(q * q)
-    return rm_code(ctx, 2, d1).intersect(rm_code(ctx, 2, d2).hermitian_dual(q))
+    return rm_code(ctx, 2, d1).relative_hull(rm_code(ctx, 2, d2).frobenius(q))
 
 
 # -- the sets U, T, V, W ---------------------------------------------------------
@@ -351,11 +354,12 @@ def hermitian_hull_basis(q: int, d: int) -> HermHullBasis:
 
 
 def hermitian_hull_oracle(q: int, d: int) -> LinearCode:
-    """intersect(PRM_d(q^2,2), hermitian_dual(PRM_d(q^2,2)))."""
+    """C cap C^herm = C cap frob(C)^perp for C = PRM_d(q^2,2): the null space
+    of the Gram matrix G G^(q)T, with no dual built."""
     Q = _check_base(q)
     ctx = field_for_size(Q)
     code = prm_code(ctx, 2, d)
-    return code.intersect(code.hermitian_dual(q))
+    return code.relative_hull(code.frobenius(q))
 
 
 def power_span_code(q: int, degree: int) -> LinearCode:
@@ -395,14 +399,24 @@ class HermHullCheck:
 
 
 def verify_hermitian_hull(q: int, d: int) -> HermHullCheck:
-    """Closed form vs hull oracle; tightness is reported, not assumed."""
+    """Closed form vs hull oracle; tightness is reported, not assumed.
+
+    The basis rows B are reduced against the oracle O: the residual is zero
+    iff B lies in O.  B is [B_P | residual] up to an invertible column
+    operation (B_P its entries on O's pivots), so its rank comes from an
+    elimination of B_P and the residual's nonzero columns, none of length n
+    when B is contained; span(B) = O iff B lies in O with rank dim O.
+    """
     Q = _check_base(q)
+    ctx = field_for_size(Q)
     basis = hermitian_hull_basis(q, d)
     dim = hermitian_hull_dim(q, d)
     oracle = hermitian_hull_oracle(q, d)
-    span = plane_span(field_for_size(Q), basis.elements())
-    independent = span.k == basis.size
-    contained = span.is_subcode_of(oracle)
+    rows = evaluate_polynomials(ctx, projective_points(ctx, 2), basis.elements())
+    residual = oracle._reduce_rows(rows)
+    contained = not residual.any()
+    coords = np.hstack([rows[:, list(oracle.pivots)], residual[:, residual.any(axis=0)]])
+    rank = len(rref(ctx, coords)[1])
     return HermHullCheck(
         q,
         d,
@@ -411,7 +425,7 @@ def verify_hermitian_hull(q: int, d: int) -> HermHullCheck:
         exact=dim.exact,
         basis_size=basis.size,
         oracle_dim=oracle.k,
-        independent=independent,
+        independent=rank == basis.size,
         contained=contained,
-        spans_or_bound_tight=(span == oracle),
+        spans_or_bound_tight=contained and rank == oracle.k,
     )

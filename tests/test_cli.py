@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prmhull.cli import main
 from prmhull.points import projective_points
@@ -315,10 +319,13 @@ def test_refused_field_leaves_no_point_set_cached(capsys):
 
 
 def test_verify_negative_cap_exits_2(capsys):
-    code, out, err = run_cli(capsys, "verify", "eaqecc", "--q", "3", "--purity", "--cap", "-5")
-    assert code == 2
-    assert out == ""
-    assert "--cap" in json.loads(err)["error"]
+    for cap in ("-5", "abc"):
+        code, out, err = run_cli(capsys, "verify", "eaqecc", "--q", "3", "--purity", "--cap", cap)
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        # the cap counts enumerated messages, not codewords
+        assert "--cap" in error and "message cap" in error
 
 
 # one ill-typed value per option that has a type, on every subcommand
@@ -364,3 +371,83 @@ def test_verify_zero_cap_skips_every_purity_probe(capsys):
     assert code == 0
     purity = [r for r in jlines(out) if r["check"] == "eaqecc-purity"]
     assert purity and all(r["status"] == "info" for r in purity)
+
+
+# -- argv fuzzing: every invalid argument list ends in one JSON error record --
+
+_SIZES = [2, 3, 4, 5, 7, 8, 9]
+_NOT_INTEGERS = st.sampled_from(["x", "", "1.5", "abc", "3a", "0x3", "-"])
+
+
+def _outside(lo, hi):
+    return st.one_of(st.integers(lo - 40, lo - 1), st.integers(hi + 1, hi + 40))
+
+
+@st.composite
+def _bad_degree(draw):
+    q = draw(st.sampled_from(_SIZES))
+    top = 2 * (q - 1)
+    kind = draw(st.sampled_from(["prm", "rm", "euclid", "hermitian", "affine-hermitian"]))
+    if kind in ("prm", "rm"):
+        lo = 1 if kind == "prm" else 0
+        return ["params", kind, "--q", str(q), f"--d={draw(_outside(lo, top))}"]
+    if kind == "euclid":
+        degrees = [draw(st.integers(1, top)), draw(_outside(1, top))]
+        if draw(st.booleans()):
+            degrees.reverse()
+        return ["hull", "euclid", "--q", str(q), f"--d1={degrees[0]}", f"--d2={degrees[1]}"]
+    # over GF(q^2): the Hermitian hull takes 1 <= d < q^2-1, the affine one 0 <= d < q^2-1
+    lo = 1 if kind == "hermitian" else 0
+    return ["hull", kind, "--q", str(q), f"--d={draw(_outside(lo, q * q - 2))}"]
+
+
+@st.composite
+def _bad_field_list(draw):
+    scope = draw(st.sampled_from(["euclid", "hermitian", "affine", "eaqecc", "all"]))
+    sizes = draw(
+        st.one_of(
+            st.sampled_from(["", ",", " , ", ",,"]),  # empty lists
+            st.integers(-50, 1).map(str),  # negative, zero and one
+            st.sampled_from(["6", "10", "12", "3,6", "2,-4"]),  # not prime powers
+            _NOT_INTEGERS,
+            st.sampled_from(["3,x", "4,,y"]),
+        )
+    )
+    return ["verify", scope, f"--q={sizes}"]
+
+
+@st.composite
+def _bad_number(draw):
+    option, argv = draw(
+        st.sampled_from(
+            [
+                ("--cap", ["verify", "eaqecc", "--q", "3", "--purity"]),
+                ("--q", ["params", "prm", "--d", "1"]),
+                ("--d", ["params", "rm", "--q", "3"]),
+                ("--m", ["params", "prm", "--q", "3", "--d", "1"]),
+                ("--q", ["hull", "euclid", "--d1", "1", "--d2", "2"]),
+                ("--d1", ["hull", "euclid", "--q", "3", "--d2", "2"]),
+                ("--d", ["hull", "hermitian", "--q", "3"]),
+                ("--q", ["hull", "affine-hermitian", "--d", "1"]),
+            ]
+        )
+    )
+    if option in ("--cap", "--q") and draw(st.booleans()):
+        value = str(draw(st.integers(-10**6, -1)))
+    else:
+        value = draw(_NOT_INTEGERS)
+    return argv + [f"{option}={value}"]
+
+
+@given(st.one_of(_bad_degree(), _bad_field_list(), _bad_number()))
+@settings(max_examples=100, deadline=None)
+def test_invalid_argv_exits_2_with_one_json_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 2, argv
+    assert out.getvalue() == "", argv
+    assert "Traceback" not in err.getvalue()
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1, argv
+    assert set(json.loads(lines[0])) == {"command", "error"}, argv

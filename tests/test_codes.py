@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prmhull.codes import EnumerationBudgetError, LinearCode, field_matmul, rref
+from prmhull.codes import EnumerationBudgetError, LinearCode, _null_space, field_matmul, rref
 from prmhull.fields import field_for_size
 
 
@@ -389,6 +389,34 @@ def test_intersect_matches_whole_row_reference(case):
         got = a.intersect(b)
         assert _same(got, _reference_intersect(a, b))
         assert got == a.dual().sum_with(b.dual()).dual()
+
+
+def _reference_relative_hull(c1, c2):
+    """C1 cap C2^perp = dual(dual(C1) + C2) on the whole-row reference kernel."""
+    ctx, n = c1.ctx, c1.n
+    H1, _ = _reference_dual(c1)
+    R, piv = _reference_rref(ctx, np.vstack([H1, c2.matrix]).reshape(-1, n))
+    return _reference_dual(LinearCode(ctx, n, R, piv))
+
+
+@given(_pairs_by_stratum())
+@example(_SPREAD_PIVOTS)
+@settings(max_examples=200, deadline=None)
+def test_relative_hull_matches_whole_row_reference(case):
+    ctx, n, c1, c2 = case
+    for a, b in ((c1, c2), (c2, c1)):
+        assert _same(a.relative_hull(b), _reference_relative_hull(a, b))
+        # the null space of a matrix not in RREF, from one elimination on
+        # reversed columns, is already canonical
+        M = np.vstack([a.matrix, b.matrix]).astype(np.int64)
+        null, piv = _null_space(ctx, M)
+        assert _same(LinearCode(ctx, n, null, piv), rref(ctx, null))
+        assert not _inner_products(ctx, M, null).any()
+        assert len(null) == n - len(rref(ctx, M)[1])
+    if ctx.q in (4, 9, 16):
+        base_q = ctx.p ** (ctx.e // 2)
+        for c in (c1, c2):
+            assert c.relative_hull(c.frobenius(base_q)) == c.intersect(c.hermitian_dual(base_q))
 
 
 @st.composite

@@ -241,3 +241,69 @@ def test_degree_range_validation():
         relative_hull_dim(4, 1, 7)
     with pytest.raises(ValueError):
         self_hull_dim(4, 7)
+
+
+def _broken_bases(q, d1, d2):
+    """Closed-form bases of PRM_d1 cap PRM_d2 with one fault each."""
+    from dataclasses import replace
+
+    from prmhull.prm import degree_monomials
+
+    ctx = field_for_size(q)
+    pts = projective_points(ctx, 2)
+    basis = relative_hull_basis(q, d1, d2)
+    assert basis.part_y and basis.part_q is not None
+    c2 = prm_code(ctx, 2, d2)
+    outside = [
+        m
+        for m in degree_monomials(3, d1)
+        if not c2.contains(evaluate_monomials(ctx, pts, [m])[0])
+    ]
+    a1 = basis.part_a1
+    return {
+        "Y monomial dropped": replace(basis, part_y=basis.part_y[1:]),
+        "A_1 monomial duplicated": replace(basis, part_a1=a1[:-1] + a1[:1]),
+        "Q swapped for a monomial outside C2": replace(
+            basis, part_q=SparsePolynomial.monomial(ctx, outside[0])
+        ),
+        "part_a1 changed": replace(basis, part_a1=a1[1:] + (outside[0],)),
+    }
+
+
+@pytest.mark.parametrize("q, d1, d2", [(4, 4, 5), (9, 9, 12)])
+def test_coordinate_check_refuses_broken_bases(q, d1, d2, monkeypatch):
+    from prmhull import euclidean_hull
+    from prmhull.prm import plane_span
+
+    assert verify_relative_hull(q, d1, d2).basis_spans  # the memo holds the true A_1
+    oracle = hull_oracle(q, d1, d2)
+    for fault, broken in _broken_bases(q, d1, d2).items():
+        monkeypatch.setattr(euclidean_hull, "relative_hull_basis", lambda *_: broken)
+        spans = verify_relative_hull(q, d1, d2).basis_spans
+        # the span compared with the oracle by a length-n elimination
+        assert spans == (plane_span(field_for_size(q), broken.polynomials()) == oracle)
+        assert not spans, fault
+
+
+def test_second_record_with_the_same_d1_runs_no_length_n_elimination(monkeypatch):
+    from prmhull import codes, euclidean_hull, prm
+
+    q, d1 = 9, 9
+    ctx = field_for_size(q)
+    n = len(projective_points(ctx, 2))
+    assert n == 91
+    # warm up: the codes and duals the oracle needs, and the span of A_1^{d1}
+    for d in (d1, 12, 13):
+        prm_code(ctx, 2, d).dual()
+    assert verify_relative_hull(q, d1, 12).ok
+    widths = []
+    real = codes.rref
+
+    def recording(ctx, rows):
+        widths.append(rows.shape[1])
+        return real(ctx, rows)
+
+    for module in (codes, euclidean_hull, prm):
+        monkeypatch.setattr(module, "rref", recording)
+    assert verify_relative_hull(q, d1, 13).ok
+    assert widths and n not in widths

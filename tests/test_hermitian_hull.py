@@ -31,11 +31,12 @@ from prmhull.points import projective_points
 from prmhull.polynomials import (
     SparsePolynomial,
     basis_a1,
+    evaluate_monomials,
     evaluate_polynomials,
     format_monomial,
     format_polynomial,
 )
-from prmhull.prm import prm_code, rm_code
+from prmhull.prm import degree_monomials, prm_code, rm_code
 
 
 def test_qadic_expansions():
@@ -257,3 +258,63 @@ def test_affine_two_degree_oracle_spot():
     for q, d in ((2, 2), (3, 5), (3, 7)):
         oracle = affine_hull_oracle(q, d - 1, d)
         assert oracle.k == len(affine_hull_monomials(q, d - 1, d)), (q, d)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_relative_hull_oracles_match_intersections_with_duals(q):
+    Q = q * q
+    ctx = field_for_size(Q)
+    for d in range(1, Q - 1):
+        code = prm_code(ctx, 2, d)
+        assert hermitian_hull_oracle(q, d) == code.intersect(code.hermitian_dual(q)), (q, d)
+    for d1 in range(0, 2 * (Q - 1) + 1, 3):
+        for d2 in range(0, 2 * (Q - 1) + 1, 2):
+            expected = rm_code(ctx, 2, d1).intersect(rm_code(ctx, 2, d2).hermitian_dual(q))
+            assert affine_hull_oracle(q, d1, d2) == expected, (q, d1, d2)
+
+
+def test_hermitian_oracles_build_no_dual(monkeypatch):
+    ctx = field_for_size(16)
+    expected = []
+    for d in range(1, 15):
+        code = prm_code(ctx, 2, d)
+        expected.append(code.intersect(code.hermitian_dual(4)))
+
+    def no_dual(self):
+        raise AssertionError("LinearCode.dual called")
+
+    monkeypatch.setattr(LinearCode, "dual", no_dual)
+    assert [hermitian_hull_oracle(4, d) for d in range(1, 15)] == expected
+    assert affine_hull_oracle(4, 5, 5).k == affine_hermitian_hull_dim(4, 5)
+
+
+@pytest.mark.parametrize("q, d", [(3, 3), (3, 7), (4, 5), (4, 7)])
+def test_coordinate_check_refuses_broken_bases(q, d, monkeypatch):
+    from dataclasses import replace
+
+    from prmhull import hermitian_hull
+
+    Q = q * q
+    ctx = field_for_size(Q)
+    pts = projective_points(ctx, 2)
+    oracle = hermitian_hull_oracle(q, d)
+    basis = hermitian_hull_basis(q, d)
+    first = basis.set_u[0]
+    outside = next(
+        m
+        for m in degree_monomials(3, d)
+        if not oracle.contains(evaluate_monomials(ctx, pts, [m])[0])
+    )
+    broken = {
+        "U monomial dropped": replace(basis, set_u=basis.set_u[1:]),
+        "U monomial duplicated": replace(basis, set_u=basis.set_u + (first,)),
+        "monomial outside the hull added": replace(basis, set_u=basis.set_u + (outside,)),
+    }
+    for fault, b in broken.items():
+        monkeypatch.setattr(hermitian_hull, "hermitian_hull_basis", lambda *_: b)
+        chk = verify_hermitian_hull(q, d)
+        # what a length-n elimination of the basis rows says
+        span = LinearCode.from_rows(ctx, evaluate_polynomials(ctx, pts, b.elements()))
+        expected = (span.k == b.size, span.is_subcode_of(oracle), span == oracle)
+        assert (chk.independent, chk.contained, chk.spans_or_bound_tight) == expected, fault
+        assert not all(expected), fault
