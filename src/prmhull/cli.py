@@ -124,6 +124,8 @@ def cmd_params(args) -> int:
 def cmd_hull_euclid(args) -> int:
     q, d1, d2 = args.q, args.d1, args.d2
     if args.extended_dual:
+        if args.verify or args.intersection_only:
+            raise ValueError("--extended-dual takes neither --verify nor --intersection-only")
         oracle = eh.extended_dual_hull_oracle(q, d1, d2)
         _emit(
             {
@@ -206,7 +208,7 @@ def cmd_hull_affine_hermitian(args) -> int:
         "dimension": len(monos),
         "formula_dimension": hh.affine_u_size(q, d).total,
         "self_orthogonal": d <= 2 * (q - 1) - 1,
-        "basis": [format_monomial(m) for m in monos],
+        "basis": [format_monomial(m) or "1" for m in monos],
         "provenance": {"dimension": "closed_form"},
     }
     if args.verify:
@@ -338,6 +340,14 @@ def cmd_verify(args) -> int:
                     "rows_checked": len(recs),
                     "diffs": len(failed),
                     "status": "pass" if not failed else "fail",
+                }
+            )
+        else:
+            records.append(
+                {
+                    "check": "eaqecc-reference-table",
+                    "status": "info",
+                    "detail": f"{golden} not found; reference table not checked",
                 }
             )
         if args.herm:

@@ -49,8 +49,7 @@ raises ValueError.
 Frobenius x -> x^q is a field automorphism of GF(q^2) fixing 0 and 1,
 so applied entrywise to an RREF matrix it gives the RREF of the image
 code with the same pivots, with no elimination.  The Hermitian dual is
-frob(C^perp), read off the memoised dual, and its own dual, frob(C), is
-filled in up front.  The Hermitian hull needs neither:
+frob(C^perp), read off the memoised dual.  The Hermitian hull needs no dual:
 C cap C^(perp h) = C cap frob(C)^perp is the relative hull of C against
 frob(C), from the Gram matrix G G^(q)T (Guenda, Jitman & Gulliver 2018).
 
@@ -229,8 +228,6 @@ class LinearCode:
         space of the Gram matrix G1 G2^T.  No dual is eliminated."""
         self._check_compatible(other)
         ctx, n = self.ctx, self.n
-        if self.k == 0 or other.k == 0:
-            return LinearCode(ctx, n, self.matrix, self.pivots)
         # G2 is the identity on its pivot columns
         free2 = _free_columns(n, other.pivots)
         gram = field_matmul(ctx, self.matrix[:, free2], other.matrix[:, free2].T)
@@ -250,8 +247,6 @@ class LinearCode:
         if other.k < self.k:
             # the Gram matrix is k1 x (n - k2): smallest with the smaller code first
             return other.intersect(self)
-        if self.k == 0 or other.k == self.n:
-            return LinearCode(self.ctx, self.n, self.matrix, self.pivots)
         return self.relative_hull(other.dual())
 
     def frobenius(self, base_q: int) -> LinearCode:
@@ -266,11 +261,8 @@ class LinearCode:
         return LinearCode(ctx, self.n, ctx.power_table(base_q)[self.matrix], self.pivots)
 
     def hermitian_dual(self, base_q: int) -> LinearCode:
-        """Dual under sum(u_i v_i^q) over GF(base_q^2): Frobenius of the dual,
-        whose own dual is frob(self)."""
-        herm = self.dual().frobenius(base_q)
-        herm._dual = self.frobenius(base_q)
-        return herm
+        """Dual under sum(u_i v_i^q) over GF(base_q^2): Frobenius of the dual."""
+        return self.dual().frobenius(base_q)
 
     # -- membership ---------------------------------------------------------------
 

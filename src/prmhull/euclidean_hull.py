@@ -28,10 +28,11 @@ from .polynomials import (
     SparsePolynomial,
     basis_a1,
     basis_ad,
+    evaluate_monomials,
     evaluate_polynomials,
     overline,
 )
-from .prm import CODE_CACHE_SIZE, dim_rm, plane_span, prm_code, prm_params
+from .prm import CODE_CACHE_SIZE, dim_rm, prm_code, prm_params
 
 
 class DualNotPrmError(ValueError):
@@ -182,8 +183,7 @@ def self_hull_basis(q: int, d: int) -> EuclidHullBasis:
 
 def self_hull_dim(q: int, d: int) -> int:
     """dim(PRM_d(2) cap PRM_d(2)^perp) across the full degree range."""
-    if not 1 <= d <= 2 * (q - 1):
-        raise ValueError(f"degree {d} outside [1, {2*(q-1)}]")
+    _validate(q, d, d)
     if d == 2 * (q - 1):
         return 0  # the dual is the all-ones code and 1 is not a degree-d class
     d_perp = 2 * (q - 1) - d
@@ -197,8 +197,7 @@ def hull_dim_with_dual(q: int, d1: int, d2: int) -> int:
     2(q-1) - d2; at d2 = 2(q-1) the dual is the all-ones code and the hull
     is zero because constants are never degree-d classes.
     """
-    if not (1 <= d1 <= 2 * (q - 1) and 1 <= d2 <= 2 * (q - 1)):
-        raise ValueError(f"degrees must lie in [1, {2*(q-1)}] for GF({q})")
+    _validate(q, d1, d2)
     if d2 == q - 1:
         raise DualNotPrmError(
             f"d2 = q-1: dual is not a PRM code (q={q}); only the oracle "
@@ -215,11 +214,6 @@ def hull_oracle(q: int, d1: int, d2: int) -> LinearCode:
     d1, d2 = _validate(q, d1, d2)
     ctx = field_for_size(q)
     return prm_code(ctx, 2, d1).intersect(prm_code(ctx, 2, d2))
-
-
-def basis_code(q: int, d1: int, d2: int) -> LinearCode:
-    """Span of the closed-form basis evaluations (RREF canonical form)."""
-    return plane_span(field_for_size(q), relative_hull_basis(q, d1, d2).polynomials())
 
 
 @dataclass(frozen=True)
@@ -242,7 +236,8 @@ def _monomial_span(q: int, monomials: tuple[Monomial, ...]) -> LinearCode:
     """Span of the evaluations of plane monomials; the records of a sweep that
     share d1 share A_1^{d1}, so its elimination runs once."""
     ctx = field_for_size(q)
-    return plane_span(ctx, [SparsePolynomial.monomial(ctx, m) for m in monomials])
+    pts = projective_points(ctx, 2)
+    return LinearCode.from_rows(ctx, evaluate_monomials(ctx, pts, monomials))
 
 
 def verify_relative_hull(q: int, d1: int, d2: int) -> HullCheck:

@@ -39,12 +39,16 @@ from .polynomials import (
     evaluate_polynomials,
     overline,
 )
-from .prm import binom, dim_rm, prm_code, rm_code
+from .prm import binom, dim_prm, dim_rm, prm_code, rm_code
 
 
-def _check_base(q: int) -> int:
+def _check_base(q: int, *degrees: int, lo: int = 0, hi: int = 0) -> int:
+    """q^2, after refusing a base q < 2 or any of `degrees` outside [lo, hi]."""
     if q < 2:
         raise ValueError("base field size must be >= 2")
+    for d in degrees:
+        if not lo <= d <= hi:
+            raise ValueError(f"degree {d} outside [{lo}, {hi}] over GF({q}^2)")
     return q * q
 
 
@@ -76,9 +80,7 @@ def affine_hull_monomials(q: int, d1: int, d2: int) -> list[Monomial]:
     Two-variable monomials with a1+a2 <= d1 whose q-th power partners fit
     under degree 2(q^2-1)-d2-1.
     """
-    Q = _check_base(q)
-    if not (0 <= d1 <= 2 * (Q - 1) and 0 <= d2 <= 2 * (Q - 1)):
-        raise ValueError(f"degrees must lie in [0, {2*(Q-1)}]")
+    Q = _check_base(q, d1, d2, hi=2 * (q * q - 1))
     bound = 2 * (Q - 1) - d2 - 1
     out = []
     for a1 in range(min(d1, Q - 1) + 1):
@@ -90,9 +92,7 @@ def affine_hull_monomials(q: int, d1: int, d2: int) -> list[Monomial]:
 
 def affine_hermitian_hull_dim(q: int, d: int) -> int:
     """dim(RM_d(q^2,2) cap RM_d(q^2,2)^herm) = |U_{d,d}|."""
-    Q = _check_base(q)
-    if not 0 <= d < Q - 1:
-        raise ValueError(f"degree must lie in [0, {Q-2}]")
+    _check_base(q, d, hi=q * q - 2)
     return len(affine_hull_monomials(q, d, d))
 
 
@@ -110,18 +110,14 @@ def set_u(q: int, d: int) -> list[Monomial]:
 
     Listed in the A_1^d enumeration order (descending x0, then x1).
     """
-    Q = _check_base(q)
-    if not 1 <= d <= Q - 1:
-        raise ValueError(f"degree must lie in [1, {Q-1}]")
+    Q = _check_base(q, d, lo=1, hi=q * q - 1)
     members = set(affine_hull_monomials(q, d - 1, d))
     return [m for m in basis_a1(Q, d) if m[1:] in members]
 
 
 def set_t(q: int, d: int) -> list[int]:
     """T: indices a2 < d with overline(q a2) below dperp - (q^2-1)."""
-    Q = _check_base(q)
-    if not 1 <= d <= Q - 1:
-        raise ValueError(f"degree must lie in [1, {Q-1}]")
+    Q = _check_base(q, d, lo=1, hi=q * q - 1)
     dp = dual_degree(q, d)
     return [
         a2
@@ -132,9 +128,7 @@ def set_t(q: int, d: int) -> list[int]:
 
 def t_size(q: int, d: int) -> int:
     """|T| by the q-adic digit count b1(q-1-b1) + min(b0,q-1-b1) + min(b1,q-1-b0)."""
-    Q = _check_base(q)
-    if not 1 <= d <= Q - 1:
-        raise ValueError(f"degree must lie in [1, {Q-1}]")
+    _check_base(q, d, lo=1, hi=q * q - 1)
     b0, b1 = qadic(d, q)
     return b1 * (q - 1 - b1) + min(b0, q - 1 - b1) + min(b1, q - 1 - b0)
 
@@ -185,9 +179,7 @@ def _char_power(f: SparsePolynomial, q: int) -> SparsePolynomial:
 
 def w_indices(q: int, d: int) -> list[int]:
     """Indices a2 passing the two-sided window conditions that define W."""
-    Q = _check_base(q)
-    if not 1 <= d <= Q - 1:
-        raise ValueError(f"degree must lie in [1, {Q-1}]")
+    Q = _check_base(q, d, lo=1, hi=q * q - 1)
     dp = dual_degree(q, d)
     out = []
     for a2 in range(min(d, Q - 1) + 1):
@@ -262,17 +254,13 @@ def _u_count(q: int, base_dim: int, beta: tuple[int, int], lam: tuple[int, int])
 
 def u_size(q: int, d: int) -> UCount:
     """|U| from the q-adic digits of d-1 and of dperp - q^2."""
-    Q = _check_base(q)
-    if not 1 <= d < Q - 1:
-        raise ValueError(f"degree must lie in [1, {Q-2}]")
+    Q = _check_base(q, d, lo=1, hi=q * q - 2)
     return _u_count(q, dim_rm(Q, d - 1), qadic(d - 1, q), lambda_expansion(q, d))
 
 
 def affine_u_size(q: int, d: int) -> UCount:
     """|U_{d,d}| by the same count with the digits of d itself."""
-    Q = _check_base(q)
-    if not 0 <= d < Q - 1:
-        raise ValueError(f"degree must lie in [0, {Q-2}]")
+    Q = _check_base(q, d, hi=q * q - 2)
     return _u_count(q, dim_rm(Q, d), qadic(d, q), lambda_expansion(q, d))
 
 
@@ -287,13 +275,11 @@ class HermHullDim:
 
 def hermitian_hull_dim(q: int, d: int) -> HermHullDim:
     """dim(PRM_d(q^2,2) cap its Hermitian dual), exact or a lower bound."""
-    Q = _check_base(q)
-    if not 1 <= d < Q - 1:
-        raise ValueError(f"degree must lie in [1, {Q-2}] (degree q^2-1 is excluded)")
+    Q = _check_base(q, d, lo=1, hi=q * q - 2)  # degree q^2-1 is excluded
     congruent = d % (q - 1) == 0
     if congruent:
         if d <= 2 * (q - 1):
-            return HermHullDim(dim_rm(Q, d - 1) + d + 1, True)  # dim PRM_d
+            return HermHullDim(dim_prm(Q, d), True)
         return HermHullDim(u_size(q, d).total + d + 1, True)
     if d <= 2 * (q - 1):
         b1 = qadic(d, q)[1]
@@ -336,9 +322,7 @@ def hermitian_hull_basis(q: int, d: int) -> HermHullBasis:
     Degree q^2-1 is allowed here: the returned set then describes the
     intersection with the q-th-power span rather than the hull proper.
     """
-    Q = _check_base(q)
-    if not 1 <= d <= Q - 1:
-        raise ValueError(f"degree must lie in [1, {Q-1}]")
+    Q = _check_base(q, d, lo=1, hi=q * q - 1)
     u = tuple(set_u(q, d))
     if d % (q - 1) == 0:
         tail = tuple(basis_a2(Q, d)) + ((0, 0, d),)

@@ -21,7 +21,7 @@ import numpy as np
 from .codes import LinearCode, rref
 from .fields import FieldContext, require_tables
 from .points import affine_points, projective_points
-from .polynomials import evaluate_monomials, evaluate_polynomials, grlex_key
+from .polynomials import evaluate_monomials, grlex_key
 
 
 # Each cached code keeps its memoised dual alive, so the code caches are
@@ -83,11 +83,19 @@ def bounded_monomials(nvars: int, d: int, cap: int) -> list:
     return sorted(out, key=grlex_key)
 
 
+def _check_degree(q: int, m: int, d: int, lowest: int) -> None:
+    """Refuse m < 1 and a degree d outside [lowest, m(q-1)]: PRM degrees
+    start at 1, RM orders at 0."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1; got {m}")
+    if not lowest <= d <= m * (q - 1):
+        raise ValueError(f"degree {d} outside [{lowest}, {m*(q-1)}] over GF({q})")
+
+
 @lru_cache(maxsize=CODE_CACHE_SIZE)
 def prm_code(ctx: FieldContext, m: int, d: int) -> LinearCode:
     """The projective Reed-Muller code of degree d over P^m."""
-    if not 1 <= d <= m * (ctx.q - 1):
-        raise ValueError(f"degree {d} outside [1, {m*(ctx.q-1)}] for PRM over GF({ctx.q})")
+    _check_degree(ctx.q, m, d, 1)
     # refuse before the point set is built and cached
     pts = projective_points(require_tables(ctx), m)
     rows = evaluate_monomials(ctx, pts, degree_monomials(m + 1, d))
@@ -95,17 +103,10 @@ def prm_code(ctx: FieldContext, m: int, d: int) -> LinearCode:
     return LinearCode(ctx, len(pts), R, piv)
 
 
-def plane_span(ctx: FieldContext, polys: list) -> LinearCode:
-    """Span of the evaluations of polys at the plane's points (RREF canonical form)."""
-    rows = evaluate_polynomials(ctx, projective_points(require_tables(ctx), 2), polys)
-    return LinearCode.from_rows(ctx, rows)
-
-
 @lru_cache(maxsize=CODE_CACHE_SIZE)
 def rm_code(ctx: FieldContext, m: int, d: int) -> LinearCode:
     """The affine Reed-Muller code of order d over A^m."""
-    if not 0 <= d <= m * (ctx.q - 1):
-        raise ValueError(f"order {d} outside [0, {m*(ctx.q-1)}] for RM over GF({ctx.q})")
+    _check_degree(ctx.q, m, d, 0)
     pts = affine_points(require_tables(ctx), m)
     rows = evaluate_monomials(ctx, pts, bounded_monomials(m, d, ctx.q - 1))
     R, piv = rref(ctx, rows)
@@ -120,8 +121,7 @@ def _weight_formula(q: int, m: int, reduced: int) -> int:
 
 def prm_params(q: int, m: int, d: int) -> CodeParams:
     """Closed-form [n, k, wt] of PRM_d(q, m)."""
-    if not 1 <= d <= m * (q - 1):
-        raise ValueError(f"degree {d} outside [1, {m*(q-1)}]")
+    _check_degree(q, m, d, 1)
     n = (q ** (m + 1) - 1) // (q - 1)
     k = 0
     for t in range(1, d + 1):
@@ -136,8 +136,7 @@ def prm_params(q: int, m: int, d: int) -> CodeParams:
 
 def rm_params(q: int, m: int, d: int) -> CodeParams:
     """Closed-form [n, k, wt] of RM_d(q, m)."""
-    if not 0 <= d <= m * (q - 1):
-        raise ValueError(f"order {d} outside [0, {m*(q-1)}]")
+    _check_degree(q, m, d, 0)
     k = 0
     for t in range(d + 1):
         k += sum(
@@ -149,8 +148,7 @@ def rm_params(q: int, m: int, d: int) -> CodeParams:
 
 def prm_dual_description(q: int, m: int, d: int) -> DualDescription:
     """Dual degree m(q-1)-d; the all-ones row joins when d = 0 mod q-1."""
-    if not 1 <= d <= m * (q - 1):
-        raise ValueError(f"degree {d} outside [1, {m*(q-1)}]")
+    _check_degree(q, m, d, 1)
     d_perp = m * (q - 1) - d
     extra = d % (q - 1) == 0 and d < m * (q - 1)
     return DualDescription(d_perp, extra)
@@ -158,8 +156,7 @@ def prm_dual_description(q: int, m: int, d: int) -> DualDescription:
 
 def rm_dual_degree(q: int, m: int, d: int) -> int:
     """Dual order m(q-1)-d-1 (-1 meaning the zero code)."""
-    if not 0 <= d <= m * (q - 1):
-        raise ValueError(f"order {d} outside [0, {m*(q-1)}]")
+    _check_degree(q, m, d, 0)
     return m * (q - 1) - d - 1
 
 

@@ -140,10 +140,7 @@ def prm_asym_eaqecc(q: int, d1: int, d2: int) -> EaqeccParams:
 
 def prm_symmetric_best(q: int, d1: int) -> EaqeccParams:
     """The symmetric EAQECC at the optimal partner degree d2 = d1."""
-    if not 1 <= d1 < 2 * (q - 1):
-        raise ValueError(f"require 1 <= d1 < 2(q-1) = {2*(q-1)}")
-    if d1 == q - 1:
-        raise ValueError(f"degree q-1 = {q-1} excluded: dual is not a PRM code")
+    _check_asym_degrees(q, d1, d1)
     if (2 * d1) % (q - 1) == 0:
         raise ValueError("2*d1 = 0 mod q-1: congruent case, no closed form here")
     asym = prm_asym_eaqecc(q, d1, d1)
@@ -157,12 +154,10 @@ def herm_eaqecc_prm(q: int, d: int) -> EaqeccParams:
     mirroring the hull's lower bound; kappa = n - 2k + c is achievable with
     that many pairs either way.  delta is the dual-weight lower bound.
     """
+    hull = hermitian_hull_dim(q, d)  # refuses d outside [1, q^2-2]
     Q = q * q
-    if not 1 <= d < Q - 1:
-        raise ValueError(f"require 1 <= d < q^2-1 = {Q-1} (d = q^2-1 is excluded)")
     n = Q * Q + Q + 1
-    k = dim_rm(Q, d - 1) + d + 1  # dim PRM_d(q^2, 2)
-    hull = hermitian_hull_dim(q, d)
+    k = dim_prm(Q, d)
     c = k - hull.value
     kappa = n - 2 * k + c
     delta = prm_params(Q, 2, 2 * (Q - 1) - d).wt

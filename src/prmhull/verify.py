@@ -22,27 +22,22 @@ from .prm import prm_code, prm_params, rm_code, rm_params
 
 def euclid_sweep(q: int) -> list[dict]:
     """Formula dim == oracle dim and exact span equality, all degree pairs."""
-    pairs = [
-        (d1, d2)
-        for d1 in range(1, 2 * (q - 1) + 1)
-        for d2 in range(d1, 2 * (q - 1) + 1)
-    ]
-
-    def check(pair):
-        d1, d2 = pair
-        chk = eh.verify_relative_hull(q, d1, d2)
-        return {
-            "check": "euclid-hull",
-            "q": q,
-            "d1": d1,
-            "d2": d2,
-            "formula_dim": chk.formula_dim,
-            "oracle_dim": chk.oracle_dim,
-            "basis_spans": chk.basis_spans,
-            "status": "pass" if chk.ok else "fail",
-        }
-
-    records = [check(pair) for pair in pairs]
+    records = []
+    for d1 in range(1, 2 * (q - 1) + 1):
+        for d2 in range(d1, 2 * (q - 1) + 1):
+            chk = eh.verify_relative_hull(q, d1, d2)
+            records.append(
+                {
+                    "check": "euclid-hull",
+                    "q": q,
+                    "d1": d1,
+                    "d2": d2,
+                    "formula_dim": chk.formula_dim,
+                    "oracle_dim": chk.oracle_dim,
+                    "basis_spans": chk.basis_spans,
+                    "status": "pass" if chk.ok else "fail",
+                }
+            )
     endpoint = eh.extended_dual_hull_oracle(q, 2 * (q - 1), 2 * (q - 1)).k
     records.append(
         {
@@ -58,30 +53,30 @@ def euclid_sweep(q: int) -> list[dict]:
 
 def hermitian_sweep(q: int) -> list[dict]:
     """Counting formulas vs enumeration and hull closed forms vs oracle."""
-    degrees = list(range(1, q * q - 1))
-
-    def check(d):
+    records = []
+    for d in range(1, q * q - 1):
         chk = hh.verify_hermitian_hull(q, d)
         count_ok = (
             hh.t_size(q, d) == len(hh.set_t(q, d)) == hh.t_size_closed(q, d)
             and hh.u_size(q, d).total == len(hh.set_u(q, d))
         )
-        return {
-            "check": "hermitian-hull",
-            "q": q,
-            "d": d,
-            "mode": chk.mode,
-            "closed_form": chk.closed_form,
-            "exact": chk.exact,
-            "oracle_dim": chk.oracle_dim,
-            "independent": chk.independent,
-            "contained": chk.contained,
-            "tight": chk.spans_or_bound_tight,
-            "counts_match": count_ok,
-            "status": "pass" if (chk.ok and count_ok) else "fail",
-        }
-
-    return [check(d) for d in degrees]
+        records.append(
+            {
+                "check": "hermitian-hull",
+                "q": q,
+                "d": d,
+                "mode": chk.mode,
+                "closed_form": chk.closed_form,
+                "exact": chk.exact,
+                "oracle_dim": chk.oracle_dim,
+                "independent": chk.independent,
+                "contained": chk.contained,
+                "tight": chk.spans_or_bound_tight,
+                "counts_match": count_ok,
+                "status": "pass" if (chk.ok and count_ok) else "fail",
+            }
+        )
+    return records
 
 
 def affine_sweep(q: int) -> list[dict]:
@@ -125,34 +120,30 @@ def affine_sweep(q: int) -> list[dict]:
 def eaqecc_euclid_sweep(q: int) -> list[dict]:
     """Closed-form c and kappa against the oracle for all admissible pairs."""
     ctx = field_for_size(q)
-    pairs = [
-        (d1, d2)
-        for d1 in range(1, 2 * (q - 1))
-        if d1 != q - 1
-        for d2 in range(d1, 2 * (q - 1))
-        if d2 != q - 1
-    ]
-
-    def check(pair):
-        d1, d2 = pair
-        closed = qt.prm_asym_eaqecc(q, d1, d2)
-        oracle = qt.asym_from_codes(
-            prm_code(ctx, 2, d1), prm_code(ctx, 2, d2), weight_cap=0
-        )
-        ok = (closed.c, closed.kappa) == (oracle.c, oracle.kappa)
-        return {
-            "check": "eaqecc-asym-closed-vs-oracle",
-            "q": q,
-            "d1": d1,
-            "d2": d2,
-            "closed_c": closed.c,
-            "oracle_c": oracle.c,
-            "closed_kappa": closed.kappa,
-            "oracle_kappa": oracle.kappa,
-            "status": "pass" if ok else "fail",
-        }
-
-    return [check(pair) for pair in pairs]
+    records = []
+    for d1 in range(1, 2 * (q - 1)):
+        for d2 in range(d1, 2 * (q - 1)):
+            if q - 1 in (d1, d2):
+                continue
+            closed = qt.prm_asym_eaqecc(q, d1, d2)
+            oracle = qt.asym_from_codes(
+                prm_code(ctx, 2, d1), prm_code(ctx, 2, d2), weight_cap=0
+            )
+            ok = (closed.c, closed.kappa) == (oracle.c, oracle.kappa)
+            records.append(
+                {
+                    "check": "eaqecc-asym-closed-vs-oracle",
+                    "q": q,
+                    "d1": d1,
+                    "d2": d2,
+                    "closed_c": closed.c,
+                    "oracle_c": oracle.c,
+                    "closed_kappa": closed.kappa,
+                    "oracle_kappa": oracle.kappa,
+                    "status": "pass" if ok else "fail",
+                }
+            )
+    return records
 
 
 def purity_sweep(q: int, cap: int = DEFAULT_WEIGHT_CAP) -> list[dict]:
@@ -162,31 +153,18 @@ def purity_sweep(q: int, cap: int = DEFAULT_WEIGHT_CAP) -> list[dict]:
         for d2 in range(1, 2 * (q - 1) + 1):
             if (d1 - d2) % (q - 1) == 0:
                 continue
+            record = {"check": "eaqecc-purity", "q": q, "d1": d1, "d2": d2}
             try:
                 rep = qt.purity_probe(q, d1, d2, cap=cap)
             except EnumerationBudgetError:
-                records.append(
-                    {
-                        "check": "eaqecc-purity",
-                        "q": q,
-                        "d1": d1,
-                        "d2": d2,
-                        "status": "info",
-                        "detail": "enumeration exceeds cap; skipped",
-                    }
+                record.update(status="info", detail="enumeration exceeds cap; skipped")
+            else:
+                record.update(
+                    wt_full=rep.wt_full,
+                    wt_excluding=rep.wt_excluding,
+                    status="pass" if rep.pure else "fail",
                 )
-                continue
-            records.append(
-                {
-                    "check": "eaqecc-purity",
-                    "q": q,
-                    "d1": d1,
-                    "d2": d2,
-                    "wt_full": rep.wt_full,
-                    "wt_excluding": rep.wt_excluding,
-                    "status": "pass" if rep.pure else "fail",
-                }
-            )
+            records.append(record)
     return records
 
 

@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prmhull.cli import main
@@ -105,6 +105,14 @@ def test_hull_euclid_extended_dual(capsys):
     assert rec["dimension"] == 0 and rec["provenance"]["dimension"] == "oracle"
 
 
+@pytest.mark.parametrize("flag", ["--verify", "--intersection-only"])
+def test_hull_euclid_extended_dual_refuses_other_flags(capsys, flag):
+    argv = ["hull", "euclid", "--q", "4", "--d1", "6", "--d2", "6", "--extended-dual", flag]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(jlines(err)) == 1 and flag in jlines(err)[0]["error"]
+
+
 def test_hull_hermitian_verify(capsys):
     code, out, _ = run_cli(capsys, "hull", "hermitian", "--q", "3", "--d", "7", "--verify")
     assert code == 0
@@ -121,6 +129,14 @@ def test_hull_affine_hermitian(capsys):
     assert code == 0
     rec = jlines(out)[0]
     assert rec["dimension"] == 14 and rec["oracle_dim"] == 14
+
+
+@pytest.mark.parametrize("d, size", [(0, 1), (4, 14)])
+def test_hull_affine_hermitian_constant_monomial_prints_as_1(capsys, d, size):
+    code, out, _ = run_cli(capsys, "hull", "affine-hermitian", "--q", "3", "--d", str(d))
+    assert code == 0
+    basis = jlines(out)[0]["basis"]
+    assert len(basis) == size and basis[0] == "1" and all(basis)
 
 
 def test_table_asym_csv_includes_reference_rows(capsys):
@@ -179,6 +195,16 @@ def test_verify_eaqecc_reference_table_diff_empty(capsys, goldens_dir):
     recs = jlines(out)
     table = [r for r in recs if r["check"] == "eaqecc-reference-table"][-1]
     assert table["diffs"] == 0 and table["rows_checked"] == 52
+
+
+def test_verify_eaqecc_reports_a_missing_reference_table(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "verify", "eaqecc", "--q", "4", "--goldens", str(tmp_path))
+    assert code == 0
+    recs = jlines(out)
+    table = [r for r in recs if r["check"] == "eaqecc-reference-table"]
+    assert len(table) == 1 and table[0]["status"] == "info"
+    assert str(tmp_path / "table1.csv") in table[0]["detail"]
+    assert recs[-1]["status"] == "pass" and recs[-1]["failures"] == 0
 
 
 def test_verify_eaqecc_herm_warns_but_passes(capsys, goldens_dir):
@@ -390,6 +416,8 @@ def _bad_degree(draw):
     kind = draw(st.sampled_from(["prm", "rm", "euclid", "hermitian", "affine-hermitian"]))
     if kind in ("prm", "rm"):
         lo = 1 if kind == "prm" else 0
+        if draw(st.booleans()):  # m <= 0 leaves no valid degree
+            return ["params", kind, "--q", str(q), f"--m={draw(st.integers(-3, 0))}", f"--d={lo}"]
         return ["params", kind, "--q", str(q), f"--d={draw(_outside(lo, top))}"]
     if kind == "euclid":
         degrees = [draw(st.integers(1, top)), draw(_outside(1, top))]
@@ -440,6 +468,7 @@ def _bad_number(draw):
 
 
 @given(st.one_of(_bad_degree(), _bad_field_list(), _bad_number()))
+@example(["params", "rm", "--q", "4", "--m", "0", "--d", "0"])
 @settings(max_examples=100, deadline=None)
 def test_invalid_argv_exits_2_with_one_json_error(argv):
     out, err = io.StringIO(), io.StringIO()

@@ -316,7 +316,7 @@ def test_kernel_matches_reference_and_identities(pair):
         assert _same(h, _reference_hermitian_dual(c, base_q))
         assert not _inner_products(ctx, h.matrix, c.matrix, ctx.power_table(base_q)).any()
         assert c.k + h.k == n
-        # the dual filled in by hermitian_dual is the one an elimination gives
+        # the Hermitian dual's own dual is the one an elimination gives
         assert _same(h.dual(), _reference_dual(LinearCode(ctx, n, h.matrix, h.pivots)))
         assert h.hermitian_dual(base_q) == c
 

@@ -3,7 +3,6 @@ import pytest
 from prmhull.codes import LinearCode
 from prmhull.euclidean_hull import (
     DualNotPrmError,
-    basis_code,
     extended_dual_hull_oracle,
     hull_dim_with_dual,
     hull_oracle,
@@ -22,6 +21,7 @@ from prmhull.points import projective_points
 from prmhull.polynomials import (
     SparsePolynomial,
     evaluate_monomials,
+    evaluate_polynomials,
     format_monomial,
     format_polynomial,
 )
@@ -219,8 +219,14 @@ def test_hull_dim_with_dual_matches_true_dual_oracle(q):
             assert hull_dim_with_dual(q, d1, d2) == oracle, (q, d1, d2)
 
 
+def _span(q, polys):
+    """The span of the evaluations at the plane's points, by a length-n elimination."""
+    ctx = field_for_size(q)
+    return LinearCode.from_rows(ctx, evaluate_polynomials(ctx, projective_points(ctx, 2), polys))
+
+
 def test_basis_code_equals_oracle_spot():
-    assert basis_code(9, 9, 12) == hull_oracle(9, 9, 12)
+    assert _span(9, relative_hull_basis(9, 9, 12).polynomials()) == hull_oracle(9, 9, 12)
 
 
 def test_hull_report_refuses_self_dual_degree():
@@ -273,7 +279,6 @@ def _broken_bases(q, d1, d2):
 @pytest.mark.parametrize("q, d1, d2", [(4, 4, 5), (9, 9, 12)])
 def test_coordinate_check_refuses_broken_bases(q, d1, d2, monkeypatch):
     from prmhull import euclidean_hull
-    from prmhull.prm import plane_span
 
     assert verify_relative_hull(q, d1, d2).basis_spans  # the memo holds the true A_1
     oracle = hull_oracle(q, d1, d2)
@@ -281,7 +286,7 @@ def test_coordinate_check_refuses_broken_bases(q, d1, d2, monkeypatch):
         monkeypatch.setattr(euclidean_hull, "relative_hull_basis", lambda *_: broken)
         spans = verify_relative_hull(q, d1, d2).basis_spans
         # the span compared with the oracle by a length-n elimination
-        assert spans == (plane_span(field_for_size(q), broken.polynomials()) == oracle)
+        assert spans == (_span(q, broken.polynomials()) == oracle)
         assert not spans, fault
 
 

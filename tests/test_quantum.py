@@ -258,3 +258,52 @@ def test_table_rows_sorted_and_admissible():
     assert keys == sorted(keys)
     assert all(d1 != 3 and d2 != 3 for d1, d2 in keys)
     assert (1, 4) in keys and (2, 5) in keys
+
+
+# -- degree domains: each family's range is checked in one place ----------------
+
+
+def _degree_domains():
+    from prmhull import euclidean_hull as eh
+    from prmhull import hermitian_hull as hh
+    from prmhull import prm
+
+    f3 = field_for_size(3)
+    # (name, call on the degree, lowest and highest accepted degree)
+    table = [
+        ("prm_code", lambda d: prm.prm_code(f3, 2, d), 1, 4),
+        ("rm_code", lambda d: prm.rm_code(f3, 2, d), 0, 4),
+        ("prm_params", lambda d: prm.prm_params(3, 2, d), 1, 4),
+        ("rm_params", lambda d: prm.rm_params(3, 2, d), 0, 4),
+        ("prm_dual_description", lambda d: prm.prm_dual_description(3, 2, d), 1, 4),
+        ("rm_dual_degree", lambda d: prm.rm_dual_degree(3, 2, d), 0, 4),
+        ("prm_dual_code", lambda d: prm.prm_dual_code(f3, 2, d), 1, 4),
+        ("dim_prm", lambda d: prm.dim_prm(3, d), 1, 4),
+        ("self_hull_dim", lambda d: eh.self_hull_dim(4, d), 1, 6),
+        ("hull_dim_with_dual code", lambda d: eh.hull_dim_with_dual(4, d, 2), 1, 6),
+        ("hull_dim_with_dual partner", lambda d: eh.hull_dim_with_dual(4, 2, d), 1, 6),
+        ("prm_symmetric_best", lambda d: prm_symmetric_best(4, d), 1, 5),
+        ("herm_eaqecc_prm", lambda d: herm_eaqecc_prm(3, d), 1, 7),
+        ("herm_eaqecc_rm", lambda d: herm_eaqecc_rm(3, d), 0, 7),
+        ("affine_hull_monomials d1", lambda d: hh.affine_hull_monomials(3, d, 0), 0, 16),
+        ("affine_hull_monomials d2", lambda d: hh.affine_hull_monomials(3, 0, d), 0, 16),
+        ("affine_hermitian_hull_dim", lambda d: hh.affine_hermitian_hull_dim(3, d), 0, 7),
+        ("affine_u_size", lambda d: hh.affine_u_size(3, d), 0, 7),
+        ("u_size", lambda d: hh.u_size(3, d), 1, 7),
+        ("hermitian_hull_dim", lambda d: hh.hermitian_hull_dim(3, d), 1, 7),
+        ("set_u", lambda d: hh.set_u(3, d), 1, 8),
+        ("set_t", lambda d: hh.set_t(3, d), 1, 8),
+        ("t_size", lambda d: hh.t_size(3, d), 1, 8),
+        ("w_indices", lambda d: hh.w_indices(3, d), 1, 8),
+        ("hermitian_hull_basis", lambda d: hh.hermitian_hull_basis(3, d), 1, 8),
+    ]
+    return [pytest.param(call, lo, hi, id=name) for name, call, lo, hi in table]
+
+
+@pytest.mark.parametrize("call, lo, hi", _degree_domains())
+def test_degree_domain_accepts_its_ends_and_refuses_one_past(call, lo, hi):
+    call(lo)
+    call(hi)
+    for d in (lo - 1, hi + 1):
+        with pytest.raises(ValueError):
+            call(d)
