@@ -208,7 +208,8 @@ def cmd_hull_affine_hermitian(args) -> int:
         "dimension": len(monos),
         "formula_dimension": hh.affine_u_size(q, d).total,
         "self_orthogonal": d <= 2 * (q - 1) - 1,
-        "basis": [format_monomial(m) or "1" for m in monos],
+        # the affine monomial x1^a1 x2^a2; position 0 of a monomial is x0
+        "basis": [format_monomial((0,) + m) or "1" for m in monos],
         "provenance": {"dimension": "closed_form"},
     }
     if args.verify:
@@ -309,6 +310,11 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     scope = args.scope
+    for flag, given in (("--herm", args.herm), ("--purity", args.purity)):
+        if given and scope not in ("eaqecc", "all"):
+            raise ValueError(f"{flag} acts only under the eaqecc and all scopes, not {scope}")
+    if args.cap is not None and not args.purity:
+        raise ValueError("--cap acts only with --purity")
     records: list[dict] = []
 
     def run(sweep, qs, **kwargs):
@@ -356,7 +362,7 @@ def cmd_verify(args) -> int:
             if 3 in herm_qs:
                 records.extend(vf.herm_reference_warn())
         if args.purity:
-            run(vf.purity_sweep, qs, cap=args.cap)
+            run(vf.purity_sweep, qs, cap=DEFAULT_WEIGHT_CAP if args.cap is None else args.cap)
 
     for record in records:
         _emit(record)
@@ -443,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--q", type=_parse_q_list, default=None)
     p_verify.add_argument("--herm", action="store_true")
     p_verify.add_argument("--purity", action="store_true")
-    p_verify.add_argument("--cap", type=_parse_cap, default=DEFAULT_WEIGHT_CAP)
+    p_verify.add_argument("--cap", type=_parse_cap, default=None)
     p_verify.add_argument("--goldens", default=str(DEFAULT_GOLDENS))
     p_verify.set_defaults(func=cmd_verify)
 

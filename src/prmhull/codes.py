@@ -40,11 +40,11 @@ rank of the Gram matrix, k1 - dim(C1 cap C2^perp), is the entanglement
 count c of the EAQECC parameters (Wilde & Brun 2008).  An intersection
 is the relative hull against the memoised dual of the larger code, so
 its Gram matrix is k1 x (n-k2), the smaller of the two choices.
-`field_matmul` forms each product from the GF(p) digit planes of its
-operands, one float64 BLAS matmul per pair of planes followed by a
-reduction mod p; the sums it reduces stay below m e (p-1)^2 for inner
-dimension m, exact while that is under 2^53, and a larger product
-raises ValueError.
+`field_matmul` writes A B as sum_t A_t (x^t B) over the e GF(p) digit
+planes A_t of A: one float64 BLAS matmul per plane, against the digits
+of x^t B read from the field's shift table, then one reduction mod p.
+The sums stay below m e (p-1)^2 for inner dimension m, exact while that
+is under 2^53, and a larger product raises ValueError.
 
 Frobenius x -> x^q is a field automorphism of GF(q^2) fixing 0 and 1,
 so applied entrywise to an RREF matrix it gives the RREF of the image
@@ -353,49 +353,30 @@ def _null_space(ctx: FieldContext, M: np.ndarray) -> tuple[np.ndarray, tuple]:
 def field_matmul(ctx: FieldContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """The product A B over GF(q) of encoding matrices A (r x m) and B (m x s).
 
-    With x the field's polynomial variable, A = sum_i x^i A_i over its e
-    GF(p) digit planes, and likewise B; then A B = sum_u x^u S_u with
-    S_u = sum_{i+j=u} A_i B_j, each plane product one float64 matmul.  The
-    entries of S_u are integers below m e (p-1)^2, exact while that is
-    under 2^53, which is checked.  Each S_u is reduced mod p, and x^u for
-    u >= e folds back onto the e digits through the field's digit table.
+    With x the field's polynomial variable and A_t the e GF(p) digit planes
+    of A, A B = sum_t A_t (x^t B): one float64 matmul per plane, against
+    the digits of x^t B from the field's shift table side by side (m x s e).
+    The sums are integers below m e (p-1)^2, exact while that is under
+    2^53, which is checked; one reduction mod p and a recombination end it.
     """
     require_tables(ctx)
     A, B = np.asarray(A), np.asarray(B)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
         raise ValueError(f"cannot multiply shapes {A.shape} and {B.shape}")
+    (r, m), s = A.shape, B.shape[1]
     p, e = ctx.p, ctx.e
-    m = A.shape[1]
     if m * e * (p - 1) ** 2 >= _FLOAT_EXACT:
         raise ValueError(f"inner dimension {m} is too large for an exact product over {ctx!r}")
-    a = _digit_planes(p, e, A)
-    b = _digit_planes(p, e, B)
-    digits = []
-    for u in range(2 * e - 1):
-        i0, i1 = max(0, u - e + 1), min(u, e - 1)
-        s_u = a[i0] @ b[u - i0]
-        for i in range(i0 + 1, i1 + 1):
-            s_u += a[i] @ b[u - i]
-        np.fmod(s_u, p, out=s_u)
-        if u < e:
-            digits.append(s_u)
-        else:
-            for t, coef in enumerate(ctx.digit_table[ctx.pow(p, u)]):
-                if coef:
-                    digits[t] += coef * s_u
-    if e == 1:
-        return digits[0].astype(np.int64)  # already reduced
-    out = np.zeros(digits[0].shape, dtype=np.int64)
-    for t in reversed(range(e)):
-        out = out * p + np.fmod(digits[t], p).astype(np.int64)
-    return out
-
-
-def _digit_planes(p: int, e: int, M: np.ndarray) -> list[np.ndarray]:
-    """The GF(p) digits of each encoding in M, one float64 plane per digit."""
-    if e == 1:
-        return [M.astype(np.float64)]
-    return [((M // p**t) % p).astype(np.float64) for t in range(e)]
+    shift = ctx.shift_digits
+    # A_t is the plain digits at shift 0, read one plane at a time to keep peak RSS down
+    acc = np.take(shift[0, :, 0], A) @ np.take(shift[0], B, axis=0).reshape(m, s * e)
+    for t in range(1, e):
+        acc += np.take(shift[0, :, t], A) @ np.take(shift[t], B, axis=0).reshape(m, s * e)
+    digits = np.fmod(acc, p, out=acc).reshape(r, s, e)
+    out = digits[..., e - 1]
+    for t in reversed(range(e - 1)):
+        out = out * p + digits[..., t]
+    return out.astype(np.int64)
 
 
 def _brouwer_zimmermann(

@@ -13,8 +13,10 @@ Multiplication, inversion and powering go through log/antilog tables
 built from a generator of the (cyclic) multiplicative group; finding
 the generator doubles as the construction-time check that the group has
 order exactly q - 1.  For fields with q <= TABLE_LIMIT, dense numpy
-lookup tables are also built; polynomial evaluation and the linear-algebra
-kernel are vectorized through them and refuse larger fields
+tables are also built: add_table, sub_table, mul_table (q x q), neg_table,
+inv_table (q) and shift_digits (e x q x e, float64), the GF(p) digits of
+x^t a at [t, a], all the matrix product reads.  Evaluation and the linear
+algebra are vectorized through them and refuse larger fields
 (`require_tables`), so only the scalar API serves q > TABLE_LIMIT.
 """
 
@@ -107,7 +109,7 @@ class FieldContext:
             self._build_dense_tables()
         else:
             self.add_table = self.sub_table = self.mul_table = None
-            self.neg_table = self.inv_table = self.digit_table = None
+            self.neg_table = self.inv_table = self.shift_digits = None
         self._pow_tables: dict[int, np.ndarray] = {}
 
     # -- construction helpers ------------------------------------------------
@@ -159,13 +161,8 @@ class FieldContext:
     def _build_dense_tables(self) -> None:
         q, p, e = self.q, self.p, self.e
         vals = np.arange(q, dtype=np.int64)
-        digs = np.zeros((q, e), dtype=np.int64)
-        v = vals.copy()
-        for t in range(e):
-            digs[:, t] = v % p
-            v //= p
-        self.digit_table = digs
         pw = p ** np.arange(e, dtype=np.int64)
+        digs = vals[:, None] // pw % p
         self.add_table = ((digs[:, None, :] + digs[None, :, :]) % p @ pw).astype(np.int64)
         self.neg_table = ((-digs) % p @ pw).astype(np.int64)
         self.sub_table = self.add_table[:, self.neg_table]
@@ -175,6 +172,8 @@ class FieldContext:
         nz = vals[1:]
         mul[np.ix_(nz, nz)] = exp[(log[nz][:, None] + log[nz][None, :]) % (q - 1)]
         self.mul_table = mul
+        # shift_digits[t, a]: the GF(p) digits of x^t a, x^t encoded as p^t
+        self.shift_digits = digs[mul[pw]].astype(np.float64)
         inv = np.zeros(q, dtype=np.int64)
         inv[nz] = exp[(-(log[nz])) % (q - 1)]
         self.inv_table = inv

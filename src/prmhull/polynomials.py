@@ -42,6 +42,13 @@ def overline(z: int, q: int) -> int:
     return q - 1 if r == 0 else r
 
 
+def _encoding(ctx: FieldContext, coeff: int) -> int:
+    """coeff itself; raises ValueError unless it encodes an element of ctx."""
+    if not 0 <= coeff < ctx.q:
+        raise ValueError(f"coefficient {coeff} is not an element encoding of {ctx!r}")
+    return coeff
+
+
 class SparsePolynomial:
     """Map from exponent tuples to nonzero coefficient encodings."""
 
@@ -54,9 +61,8 @@ class SparsePolynomial:
         for mono, coeff in (terms or {}).items():
             if len(mono) != nvars:
                 raise ValueError(f"monomial {mono} does not have {nvars} variables")
-            c = coeff % ctx.q if not 0 <= coeff < ctx.q else coeff
-            if c:
-                clean[tuple(mono)] = c
+            if _encoding(ctx, coeff):
+                clean[tuple(mono)] = coeff
         self.terms = clean
 
     # -- constructors ---------------------------------------------------------
@@ -79,7 +85,7 @@ class SparsePolynomial:
         acc: dict = {}
         for mono, coeff in terms:
             mono = tuple(mono)
-            acc[mono] = ctx.add(acc.get(mono, 0), coeff % ctx.q)
+            acc[mono] = ctx.add(acc.get(mono, 0), _encoding(ctx, coeff))
         return cls(ctx, nvars, acc)
 
     # -- ring operations -------------------------------------------------------
@@ -346,7 +352,7 @@ def parse_polynomial(ctx: FieldContext, nvars: int, text: str) -> SparsePolynomi
             else:
                 if seen_var:
                     raise ValueError(f"coefficient after variable in {chunk!r}")
-                coeff = ctx.mul(coeff, int(factor) % ctx.q)
+                coeff = ctx.mul(coeff, _encoding(ctx, int(factor)))
         mono = tuple(expts)
         terms[mono] = ctx.add(terms.get(mono, 0), coeff)
     return SparsePolynomial(ctx, nvars, terms)

@@ -116,7 +116,7 @@ def rm_code(ctx: FieldContext, m: int, d: int) -> LinearCode:
 def _weight_formula(q: int, m: int, reduced: int) -> int:
     """(q - s) q^(m - r - 1) where reduced = r(q-1) + s, 0 <= s < q-1."""
     r, s = divmod(reduced, q - 1)
-    return (q - s) * q ** (m - r - 1)
+    return (q - s) * q ** (m - r) // q  # an int at r = m too, where s = 0
 
 
 def prm_params(q: int, m: int, d: int) -> CodeParams:

@@ -37,6 +37,13 @@ def test_params_rm_repetition(capsys):
     assert (rec["n"], rec["k"], rec["wt"]) == (81, 1, 81)
 
 
+@pytest.mark.parametrize("argv", [["--q", "4", "--d", "6"], ["--q", "3", "--m", "1", "--d", "2"]])
+def test_params_rm_top_order_prints_weight_1(capsys, argv):
+    code, out, _ = run_cli(capsys, "params", "rm", *argv)
+    assert code == 0
+    assert jlines(out)[0]["wt"] == 1 and '"wt": 1}' in out
+
+
 def test_params_prm_dual_flag(capsys):
     code, out, _ = run_cli(capsys, "params", "prm", "--q", "4", "--m", "2", "--d", "3")
     rec = jlines(out)[0]
@@ -137,6 +144,16 @@ def test_hull_affine_hermitian_constant_monomial_prints_as_1(capsys, d, size):
     assert code == 0
     basis = jlines(out)[0]["basis"]
     assert len(basis) == size and basis[0] == "1" and all(basis)
+
+
+def test_hull_affine_hermitian_basis_is_in_x1_x2(capsys):
+    # as hull hermitian's u list names the same exponents, x0 being the
+    # homogenising variable
+    code, out, _ = run_cli(capsys, "hull", "affine-hermitian", "--q", "3", "--d", "4")
+    assert code == 0
+    basis = jlines(out)[0]["basis"]
+    assert "x1*x2" in basis and "x2^4" in basis
+    assert not any("x0" in b for b in basis)
 
 
 def test_table_asym_csv_includes_reference_rows(capsys):
@@ -397,6 +414,23 @@ def test_verify_zero_cap_skips_every_purity_probe(capsys):
     assert code == 0
     purity = [r for r in jlines(out) if r["check"] == "eaqecc-purity"]
     assert purity and all(r["status"] == "info" for r in purity)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "affine", "--q", "2", "--purity", "--herm", "--cap", "5"], "--herm"),
+        (["verify", "euclid", "--q", "3", "--purity"], "--purity"),
+        (["verify", "hermitian", "--q", "2", "--herm"], "--herm"),
+        (["verify", "affine", "--q", "2", "--cap", "5"], "--cap"),
+        (["verify", "eaqecc", "--q", "3", "--cap", "5"], "--cap"),
+        (["verify", "all", "--herm", "--cap", "0"], "--cap"),
+    ],
+)
+def test_verify_refuses_flags_it_would_ignore(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(jlines(err)) == 1 and flag in jlines(err)[0]["error"]
 
 
 # -- argv fuzzing: every invalid argument list ends in one JSON error record --

@@ -496,14 +496,17 @@ def _scalar_matmul(ctx, A, B):
     return out
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25, 27, 49, 125])
+@pytest.mark.parametrize(
+    "q", [2, 3, 4, 5, 8, 9, 16, 25, 27, 32, 49, 64, 81, 125, 243, 256, 343]
+)
 def test_field_matmul_matches_scalar_triple_loop(q):
     ctx = field_for_size(q)
     rng = np.random.default_rng(q)
     shapes = [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0), (1, 1, 1), (4, 7, 5), (6, 11, 3)]
-    for r, m, s in shapes:
-        A = rng.integers(0, q, size=(r, m))
-        B = rng.integers(0, q, size=(m, s))
+    # int64 as messages are built, uint16 as LinearCode.matrix holds them
+    for (r, m, s), dtype in itertools.product(shapes, (np.int64, np.uint16)):
+        A = rng.integers(0, q, size=(r, m)).astype(dtype)
+        B = rng.integers(0, q, size=(m, s)).astype(dtype)
         got = field_matmul(ctx, A, B)
         assert got.shape == (r, s)
         assert np.array_equal(got, _scalar_matmul(ctx, A, B))
@@ -824,4 +827,4 @@ def test_encoding_one_is_the_identity_with_digits_one_then_zeros():
         ctx = build(p, e)
         assert np.array_equal(ctx.mul_table[1], np.arange(q))
         assert ctx.mul(1, q - 1) == q - 1
-        assert tuple(ctx.digit_table[1]) == (1,) + (0,) * (e - 1)
+        assert tuple(ctx.shift_digits[0, 1]) == (1,) + (0,) * (e - 1)

@@ -237,3 +237,16 @@ def test_arithmetic_and_degree_helpers():
     assert SparsePolynomial.from_term_list(
         g3, 3, [((1, 0, 0), 1), ((1, 0, 0), 2)]
     ).is_zero()
+
+
+@pytest.mark.parametrize("coeff", [-1, 9, 10])
+def test_coefficients_outside_the_encodings_are_refused(coeff):
+    # over GF(9), -1 mod 9 is encoding 8 (2 + 2x), not ctx.neg(1) = 2
+    ctx = field_for_size(9)
+    with pytest.raises(ValueError, match="encoding"):
+        SparsePolynomial(ctx, 3, {(1, 0, 0): coeff})
+    with pytest.raises(ValueError, match="encoding"):
+        SparsePolynomial.from_term_list(ctx, 3, [((1, 0, 0), 1), ((1, 0, 0), coeff)])
+    with pytest.raises(ValueError, match="encoding"):
+        parse_polynomial(ctx, 3, f"{coeff}*x0")
+    assert SparsePolynomial(ctx, 3, {(1, 0, 0): ctx.neg(1)}) == parse_polynomial(ctx, 3, "2*x0")

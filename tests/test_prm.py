@@ -51,6 +51,13 @@ def test_rm_params_examples():
     assert rm_params(4, 2, 4).k == 13
 
 
+@pytest.mark.parametrize("q, m", [(2, 1), (2, 3), (3, 1), (3, 2), (4, 2), (5, 3), (9, 2)])
+def test_rm_weight_at_the_top_order_is_the_int_one(q, m):
+    # RM_{m(q-1)} is the whole space, of minimum weight 1
+    wt = rm_params(q, m, m * (q - 1)).wt
+    assert wt == 1 and type(wt) is int
+
+
 def test_params_range_checks():
     with pytest.raises(ValueError):
         prm_params(4, 2, 0)
