@@ -5,7 +5,8 @@ Hermitian duals, and minimum weight by the Brouwer-Zimmermann search.
 A LinearCode is its RREF generator matrix (zero rows dropped), which is
 the canonical representative of the row space: two codes are equal iff
 their matrices are identical.  Row operations are vectorized through the
-field's dense lookup tables, so the kernel needs q <= fields.TABLE_LIMIT.
+field's dense lookup tables, which no module outside the kernel and
+fields.py reads, so the kernel needs q <= fields.TABLE_LIMIT.
 The matrix is stored read-only as uint16, which holds every encoding
 below that limit; `rref` copies its input to int64 and eliminates there,
 each pivot step touching only the columns from the pivot on (the rows

@@ -139,8 +139,12 @@ class EuclidHullBasis:
 
     def polynomials(self) -> list[SparsePolynomial]:
         ctx = field_for_size(self.q)
-        out = [SparsePolynomial.monomial(ctx, m) for m in self.part_a1]
-        out += [SparsePolynomial.monomial(ctx, m) for m in self.part_y]
+        return [SparsePolynomial.monomial(ctx, m) for m in self.part_a1] + self.past_a1()
+
+    def past_a1(self) -> list[SparsePolynomial]:
+        """The basis after A_1, in basis order: Y, the q-polynomial, the congruent tail."""
+        ctx = field_for_size(self.q)
+        out = [SparsePolynomial.monomial(ctx, m) for m in self.part_y]
         if self.part_q is not None:
             out.append(self.part_q)
         out += [SparsePolynomial.monomial(ctx, m) for m in self.congruent_tail]
@@ -254,9 +258,7 @@ def verify_relative_hull(q: int, d1: int, d2: int) -> HullCheck:
     basis = relative_hull_basis(q, d1, d2)
     oracle = hull_oracle(q, d1, d2)
     a1 = _monomial_span(q, basis.part_a1)
-    rest = evaluate_polynomials(
-        ctx, projective_points(ctx, 2), basis.polynomials()[len(basis.part_a1) :]
-    )
+    rest = evaluate_polynomials(ctx, projective_points(ctx, 2), basis.past_a1())
     rank = a1.k + len(rref(ctx, a1._reduce_rows(rest))[1])
     contained = not oracle._reduce_rows(np.vstack([a1.matrix, rest])).any()
     return HullCheck(

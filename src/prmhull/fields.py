@@ -9,15 +9,18 @@ gives every field a total element order used wherever a fixed order is
 needed (point enumeration, matrix pivoting); the order has no algebraic
 meaning.
 
-Multiplication, inversion and powering go through log/antilog tables
-built from a generator of the (cyclic) multiplicative group; finding
-the generator doubles as the construction-time check that the group has
-order exactly q - 1.  For fields with q <= TABLE_LIMIT, dense numpy
-tables are also built: add_table, sub_table, mul_table (q x q), neg_table,
-inv_table (q) and shift_digits (e x q x e, float64), the GF(p) digits of
-x^t a at [t, a], all the matrix product reads.  Evaluation and the linear
-algebra are vectorized through them and refuse larger fields
-(`require_tables`), so only the scalar API serves q > TABLE_LIMIT.
+The field's one representation is the log/antilog pair exp_table and
+log_table (int64, length q), built from a generator of the (cyclic)
+multiplicative group; finding the generator doubles as the
+construction-time check that the group has order exactly q - 1.  Scalar
+multiplication, inversion and powering, power_table and polynomial
+evaluation read that pair.  For fields with q <= TABLE_LIMIT, dense numpy
+tables are also built from it for the elimination kernel in codes.py, the
+only other module that reads them: add_table, sub_table, mul_table
+(q x q), neg_table, inv_table (q) and shift_digits (e x q x e, float64),
+the GF(p) digits of x^t a at [t, a], all the matrix product reads.  The
+kernel, and evaluation with it, refuse larger fields (`require_tables`),
+so only the scalar API serves q > TABLE_LIMIT.
 """
 
 from __future__ import annotations
@@ -110,7 +113,6 @@ class FieldContext:
         else:
             self.add_table = self.sub_table = self.mul_table = None
             self.neg_table = self.inv_table = self.shift_digits = None
-        self._pow_tables: dict[int, np.ndarray] = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -146,17 +148,15 @@ class FieldContext:
                 gen = cand
                 break
         self.generator = gen
-        exp = [1] * order
-        log = [-1] * q
-        v = 1
-        for i in range(order):
-            exp[i] = v
-            log[v] = i
-            v = self._mul_poly(v, gen)
-        if v != 1:
+        exp = [1] * q
+        for i in range(1, q):
+            exp[i] = self._mul_poly(exp[i - 1], gen)
+        if exp[order] != 1:
             raise AssertionError("generator does not have order q-1")
-        self._exp = exp
-        self._log = log
+        # exp_table[i] = gen^i for 0 <= i < q; log_table[0] = 0 is a placeholder
+        self.exp_table = np.array(exp, dtype=np.int64)
+        self.log_table = np.zeros(q, dtype=np.int64)
+        self.log_table[self.exp_table[:order]] = np.arange(order)
 
     def _build_dense_tables(self) -> None:
         q, p, e = self.q, self.p, self.e
@@ -166,17 +166,14 @@ class FieldContext:
         self.add_table = ((digs[:, None, :] + digs[None, :, :]) % p @ pw).astype(np.int64)
         self.neg_table = ((-digs) % p @ pw).astype(np.int64)
         self.sub_table = self.add_table[:, self.neg_table]
-        mul = np.zeros((q, q), dtype=np.int64)
-        exp = np.array(self._exp, dtype=np.int64)
-        log = np.array(self._log, dtype=np.int64)
-        nz = vals[1:]
-        mul[np.ix_(nz, nz)] = exp[(log[nz][:, None] + log[nz][None, :]) % (q - 1)]
+        exp, log = self.exp_table, self.log_table
+        mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
+        mul[0, :] = mul[:, 0] = 0
         self.mul_table = mul
         # shift_digits[t, a]: the GF(p) digits of x^t a, x^t encoded as p^t
         self.shift_digits = digs[mul[pw]].astype(np.float64)
-        inv = np.zeros(q, dtype=np.int64)
-        inv[nz] = exp[(-(log[nz])) % (q - 1)]
-        self.inv_table = inv
+        self.inv_table = exp[-log % (q - 1)]
+        self.inv_table[0] = 0
 
     # -- scalar arithmetic on encodings ---------------------------------------
 
@@ -213,12 +210,12 @@ class FieldContext:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return int(self.exp_table[(self.log_table[a] + self.log_table[b]) % (self.q - 1)])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in " + repr(self))
-        return self._exp[(-self._log[a]) % (self.q - 1)]
+        return int(self.exp_table[-self.log_table[a] % (self.q - 1)])
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -231,14 +228,14 @@ class FieldContext:
             return 1
         if a == 0:
             return 0
-        return self._exp[(self._log[a] * n) % (self.q - 1)]
+        return int(self.exp_table[self.log_table[a] * (n % (self.q - 1)) % (self.q - 1)])
 
     def power_table(self, n: int) -> np.ndarray:
-        """Vector of v**n over all encodings (fields with dense tables only)."""
-        tab = self._pow_tables.get(n)
-        if tab is None:
-            tab = np.array([self.pow(v, n) for v in range(self.q)], dtype=np.int64)
-            self._pow_tables[n] = tab
+        """Vector of v**n over all encodings, n >= 0, with 0**0 == 1."""
+        if n < 0:
+            raise ValueError("negative exponent; use inv explicitly")
+        tab = self.exp_table[self.log_table * (n % (self.q - 1)) % (self.q - 1)]
+        tab[0] = n == 0
         return tab
 
     # -- misc ------------------------------------------------------------------

@@ -8,13 +8,20 @@ deterministic output is graded lexicographic with x0 < x1 < x2 (degree
 first, then reversed exponent tuple).  The text format for CLI I/O joins
 terms with " + ", writes monomials as x0^a0*x1^a1*x2^a2 with zero
 exponents and unit coefficients omitted, and prints coefficients as
-integer encodings.
+integer encodings.  Exponents are non-negative integers; anything else is
+refused on construction, parsing and evaluation.
+
+Evaluation reads only the field's log/antilog pair: monomial values are
+the antilogs of E L^T mod q-1 (E the exponents, L the coordinates' logs),
+zeroed where a coordinate with a positive exponent is zero, and a batch of
+polynomials is one `codes.field_matmul` of its coefficients against them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .codes import field_matmul
 from .fields import FieldContext, require_tables
 from .points import PointSet
 
@@ -49,6 +56,16 @@ def _encoding(ctx: FieldContext, coeff: int) -> int:
     return coeff
 
 
+def _monomial(mono, nvars: int) -> Monomial:
+    """mono as a tuple; raises ValueError unless it is nvars non-negative integers."""
+    mono = tuple(mono)
+    if len(mono) != nvars:
+        raise ValueError(f"monomial {mono} does not have {nvars} variables")
+    if not all(isinstance(a, (int, np.integer)) and a >= 0 for a in mono):
+        raise ValueError(f"monomial {mono} has an exponent that is not a non-negative integer")
+    return mono
+
+
 class SparsePolynomial:
     """Map from exponent tuples to nonzero coefficient encodings."""
 
@@ -59,10 +76,9 @@ class SparsePolynomial:
         self.nvars = nvars
         clean = {}
         for mono, coeff in (terms or {}).items():
-            if len(mono) != nvars:
-                raise ValueError(f"monomial {mono} does not have {nvars} variables")
+            mono = _monomial(mono, nvars)
             if _encoding(ctx, coeff):
-                clean[tuple(mono)] = coeff
+                clean[mono] = coeff
         self.terms = clean
 
     # -- constructors ---------------------------------------------------------
@@ -162,42 +178,26 @@ class SparsePolynomial:
 # -- vectorized evaluation ----------------------------------------------------
 
 
-def _monomial_rows(ctx: FieldContext, pts: PointSet, monomials: list) -> np.ndarray:
-    """Evaluations of monomials at all points, one row per monomial."""
-    mul = require_tables(ctx).mul_table
-    coords = pts.array
-    n = coords.shape[0]
-    out = np.empty((len(monomials), n), dtype=np.int64)
-    for i, mono in enumerate(monomials):
-        row = np.ones(n, dtype=np.int64)
-        for j, e in enumerate(mono):
-            if e:
-                row = mul[row, ctx.power_table(e)[coords[:, j]]]
-        out[i] = row
-    return out
-
-
 def evaluate_polynomials(ctx: FieldContext, pts: PointSet, polys: list) -> np.ndarray:
     """Evaluate several polynomials at once; one row per polynomial."""
-    monos = sorted({m for f in polys for m in f.terms}, key=grlex_key)
-    index = {m: i for i, m in enumerate(monos)}
-    rows = _monomial_rows(ctx, pts, monos)
-    n = len(pts)
-    out = np.zeros((len(polys), n), dtype=np.int64)
+    monos = list(dict.fromkeys(m for f in polys for m in f.terms))
+    index = {m: j for j, m in enumerate(monos)}
+    coeffs = np.zeros((len(polys), len(monos)), dtype=np.int64)
     for i, f in enumerate(polys):
-        acc = np.zeros(n, dtype=np.int64)
         for mono, c in f.terms.items():
-            acc = ctx.add_table[acc, ctx.mul_table[c, rows[index[mono]]]]
-        out[i] = acc
-    return out
+            coeffs[i, index[mono]] = c
+    return field_matmul(ctx, coeffs, evaluate_monomials(ctx, pts, monos))
 
 
 def evaluate_monomials(ctx: FieldContext, pts: PointSet, monomials: list) -> np.ndarray:
     """Evaluations of bare monomials at all points (rows in given order)."""
-    for mono in monomials:
-        if len(mono) != pts.arity:
-            raise ValueError("monomial arity does not match point set")
-    return _monomial_rows(ctx, pts, list(monomials))
+    require_tables(ctx)
+    E = np.array([_monomial(m, pts.arity) for m in monomials], dtype=np.int64)
+    E = E.reshape(len(monomials), pts.arity)
+    coords = pts.array
+    rows = ctx.exp_table[E % (ctx.q - 1) @ ctx.log_table[coords].T % (ctx.q - 1)]
+    rows[(E > 0) @ (coords == 0).T] = 0
+    return rows
 
 
 # -- normal form modulo the plane's vanishing ideal -----------------------------
@@ -343,11 +343,14 @@ def parse_polynomial(ctx: FieldContext, nvars: int, text: str) -> SparsePolynomi
             if not factor:
                 raise ValueError(f"empty factor in term {chunk!r}")
             if factor[0] == "x":
-                base, _, exp = factor.partition("^")
+                base, caret, exp = factor.partition("^")
                 idx = int(base[1:])
                 if not 0 <= idx < nvars:
                     raise ValueError(f"variable {base} out of range")
-                expts[idx] += int(exp) if exp else 1
+                power = int(exp) if caret else 1
+                if power < 0:
+                    raise ValueError(f"negative exponent in {factor!r}")
+                expts[idx] += power
                 seen_var = True
             else:
                 if seen_var:

@@ -66,6 +66,7 @@ def test_basis_worked_example_13_elements():
     assert [format_monomial(m) for m in basis.part_y] == ["x1^4", "x1^3*x2"]
     assert basis.part_q is not None
     assert len(basis.part_a1) == 10
+    assert basis.past_a1() == basis.polynomials()[10:]
 
 
 def test_basis_congruent_case():
@@ -73,6 +74,7 @@ def test_basis_congruent_case():
     assert basis.congruent and basis.dimension == 3
     names = [format_polynomial(p) for p in basis.polynomials()]
     assert names == ["x0", "x1", "x2"]
+    assert [format_polynomial(p) for p in basis.past_a1()] == ["x1", "x2"]
 
 
 def test_basis_low_degree_case():

@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 
 from prmhull.codes import LinearCode
 from prmhull.fields import field_for_size
-from prmhull.points import projective_points
+from prmhull.points import affine_points, projective_points
 from prmhull.polynomials import (
     SparsePolynomial,
     basis_ad,
     evaluate_monomials,
+    evaluate_polynomials,
     format_monomial,
     format_polynomial,
     ideal_generators_pm,
@@ -189,6 +190,61 @@ def test_exponent_zero_differs_from_q_minus_one():
     assert not diff[:16].any()
 
 
+def _scalar_value(ctx, f, point):
+    """f at one point by scalar field arithmetic alone."""
+    acc = 0
+    for mono, c in f.terms.items():
+        term = c
+        for x, a in zip(point, mono):
+            term = ctx.mul(term, ctx.pow(x, a))
+        acc = ctx.add(acc, term)
+    return acc
+
+
+@pytest.mark.parametrize("kind", ["projective", "affine"])
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27])
+def test_evaluation_matches_scalar_arithmetic(q, kind):
+    ctx = field_for_size(q)
+    pts = projective_points(ctx, 2) if kind == "projective" else affine_points(ctx, 2)
+    nv = pts.arity
+    rng = random.Random(q)
+    # 0 and q-1 evaluate differently at zero coordinates; the rest wrap mod q-1
+    exponents = [0, 1, q - 1, 2 * (q - 1), 3 * (q - 1), q, q + 1, 3 * q + 2]
+    monos = [(0,) * nv, (q - 1,) * nv]
+    monos += [tuple(rng.choice(exponents) for _ in range(nv)) for _ in range(10)]
+    polys = [SparsePolynomial.zero(ctx, nv)]
+    for size in (1, 3, 6):
+        terms = {m: rng.randint(1, q - 1) for m in rng.sample(monos, size)}
+        polys.append(SparsePolynomial(ctx, nv, terms))
+    assert evaluate_monomials(ctx, pts, monos).tolist() == [
+        [_scalar_value(ctx, SparsePolynomial.monomial(ctx, m), x) for x in pts.points] for m in monos
+    ]
+    assert evaluate_polynomials(ctx, pts, polys).tolist() == [
+        [_scalar_value(ctx, f, x) for x in pts.points] for f in polys
+    ]
+    assert evaluate_monomials(ctx, pts, []).shape == (0, len(pts))
+    assert evaluate_polynomials(ctx, pts, []).shape == (0, len(pts))
+
+
+def test_negative_and_non_integer_exponents_are_refused():
+    ctx = field_for_size(4)
+    pts = projective_points(ctx, 2)
+    for mono in [(-1, 2, 0), (1.5, 0, 0), (0, 2.0, 0)]:
+        with pytest.raises(ValueError, match="exponent"):
+            SparsePolynomial(ctx, 3, {mono: 1})
+        with pytest.raises(ValueError, match="exponent"):
+            evaluate_monomials(ctx, pts, [(1, 0, 0), mono])
+    # x0^-2*x0^3 would sum to x0 and hide the negative factor
+    for text in ["x0^-1*x1^2", "x1^2*x0^-1", "x0^-2*x0^3"]:
+        with pytest.raises(ValueError, match="exponent"):
+            parse_polynomial(ctx, 3, text)
+    for text in ["x0^1.5", "x0^"]:
+        with pytest.raises(ValueError):
+            parse_polynomial(ctx, 3, text)
+    with pytest.raises(ValueError, match="variables"):
+        evaluate_monomials(ctx, pts, [(1, 0)])
+
+
 def test_format_examples():
     g4 = field_for_size(4)
     f = SparsePolynomial(g4, 3, {(0, 0, 4): 1, (0, 2, 2): 1, (2, 0, 2): 1, (2, 1, 1): 1})
@@ -210,6 +266,8 @@ def test_format_parse_round_trip(data):
         terms[mono] = data.draw(st.integers(1, q - 1))
     f = SparsePolynomial(ctx, 3, terms)
     assert parse_polynomial(ctx, 3, format_polynomial(f)) == f
+    # an explicit zero exponent parses to the empty factor, which prints as nothing
+    assert format_polynomial(parse_polynomial(ctx, 3, "x0^0*x1^2*x2^3")) == "x1^2*x2^3"
 
 
 def test_scalar_evaluation_fallback_large_field():

@@ -83,3 +83,47 @@ def test_guard_sees_matrix_products():
     assert _matrix_products(ast.parse(src)) == [
         (1, ""), (2, ""), (4, "f"), (5, "f"), (8, "g"), (8, "g")
     ]
+
+
+DENSE_TABLES = {"add_table", "sub_table", "mul_table", "neg_table", "inv_table", "power_table"}
+TABLE_OWNERS = {"fields.py", "codes.py"}
+
+
+def _dense_table_names(tree: ast.AST) -> list[int]:
+    """Lines that name a dense field table, as attribute, variable, import or string."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name
+        elif isinstance(node, ast.Constant):
+            name = node.value
+        else:
+            continue
+        if isinstance(name, str) and name in DENSE_TABLES:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(SRC.glob("*.py")) if p.name not in TABLE_OWNERS],
+    ids=lambda p: p.name,
+)
+def test_only_the_field_and_the_kernel_name_dense_tables(path):
+    # the q x q table format stays behind fields.py and the elimination kernel
+    assert _dense_table_names(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_guard_sees_dense_table_names():
+    src = (
+        "from .fields import power_table\n"
+        "x = ctx.mul_table[a, b]\n"
+        "add_table = 1\n"
+        "y = getattr(ctx, 'inv_table')\n"
+        "z = ctx.exp_table[ctx.log_table]\n"
+    )
+    assert _dense_table_names(ast.parse(src)) == [1, 2, 3, 4]
