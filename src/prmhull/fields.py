@@ -9,18 +9,26 @@ gives every field a total element order used wherever a fixed order is
 needed (point enumeration, matrix pivoting); the order has no algebraic
 meaning.
 
-The field's one representation is the log/antilog pair exp_table and
-log_table (int64, length q), built from a generator of the (cyclic)
-multiplicative group; finding the generator doubles as the
-construction-time check that the group has order exactly q - 1.  Scalar
-multiplication, inversion and powering, power_table and polynomial
-evaluation read that pair.  For fields with q <= TABLE_LIMIT, dense numpy
-tables are also built from it for the elimination kernel in codes.py, the
-only other module that reads them: add_table, sub_table, mul_table
-(q x q), neg_table, inv_table (q) and shift_digits (e x q x e, float64),
-the GF(p) digits of x^t a at [t, a], all the matrix product reads.  The
-kernel, and evaluation with it, refuse larger fields (`require_tables`),
-so only the scalar API serves q > TABLE_LIMIT.
+The field is two arrays.  `digits` (q x e, int64) holds the GF(p) digits
+of every encoding, the additive representation; the log/antilog pair
+exp_table and log_table (int64, length q) is the multiplicative one.
+Multiplication by x sends a digit row d to d C mod p, with C the e x e
+companion matrix of the modulus, so multiplication by g is the matrix
+sum_t g_t C^t and one product applies it to all q rows.  exp_table is the
+orbit of 1 under the smallest g whose orbit has length q - 1 (the
+generator); finding it doubles as the construction-time check that the
+multiplicative group is cyclic of order q - 1.  The modulus enters the
+arithmetic through C alone.
+
+Scalar add, sub and neg read `digits`; scalar mul, inv, div and pow,
+power_table and polynomial evaluation read the log/antilog pair.  For
+fields with q <= TABLE_LIMIT, dense numpy tables are also built for the
+elimination kernel in codes.py, the only other module that reads them:
+add_table, sub_table, neg_table from `digits`; mul_table and inv_table
+from the pair; and shift_digits (e x q x e, float64), whose [t, a] is
+the GF(p) digits of x^t a, the rows `digits` C^t mod p, all the matrix
+product reads.  The kernel, and evaluation with it, refuse larger fields
+(`require_tables`), so only the scalar API serves q > TABLE_LIMIT.
 """
 
 from __future__ import annotations
@@ -34,14 +42,7 @@ TABLE_LIMIT = 512  # dense q x q numpy tables only below this size
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
+    return _prime_factors(n) == [n]
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -60,33 +61,23 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def _poly_rem(num: list[int], den: list[int], p: int) -> list[int]:
-    """Remainder of num/den over GF(p); coefficient lists little-endian."""
+    """Remainder of num by the monic den over GF(p); coefficient lists little-endian."""
     num = list(num)
     dd = len(den) - 1
-    inv_lead = pow(den[-1], p - 2, p) if p > 2 else den[-1]
-    while len(num) - 1 >= dd and any(num):
-        while num and num[-1] == 0:
-            num.pop()
-        if len(num) - 1 < dd:
-            break
-        shift = len(num) - 1 - dd
-        factor = (num[-1] * inv_lead) % p
+    for shift in reversed(range(len(num) - dd)):
+        factor = num[shift + dd]
         for i, c in enumerate(den):
             num[shift + i] = (num[shift + i] - factor * c) % p
-        while num and num[-1] == 0:
-            num.pop()
-    return num
+    return num[:dd]
 
 
 def _is_irreducible(coeffs: list[int], p: int) -> bool:
     """Trial division by all monic polynomials of degree <= e/2."""
     e = len(coeffs) - 1
-    if e == 1:
-        return True
     for deg in range(1, e // 2 + 1):
         for m in range(p**deg):
             den = _digits(m, p, deg) + [1]
-            if not _poly_rem(coeffs, den, p):
+            if not any(_poly_rem(coeffs, den, p)):
                 return False
     return True
 
@@ -107,62 +98,49 @@ class FieldContext:
         self.e = e
         self.q = p**e
         self.modulus = modulus
-        self._build_log_tables()
+        self._place = p ** np.arange(e, dtype=np.int64)
+        self.digits = np.arange(self.q, dtype=np.int64)[:, None] // self._place
+        self.digits %= p  # in place, as below: q x e temporaries are 8 MB at q = 2^16
+        # companion matrix: digit row d times it is the digits of x d
+        companion = np.eye(e, k=1, dtype=np.int64)
+        companion[-1] = np.negative(modulus[:e]) % p
+        x_powers = [np.eye(e, dtype=np.int64)]
+        for _ in range(1, e):
+            x_powers.append(x_powers[-1] @ companion % p)
+        x_powers = np.stack(x_powers)
+        self._build_log_tables(x_powers)
         if self.q <= TABLE_LIMIT:
-            self._build_dense_tables()
+            self._build_dense_tables(x_powers)
         else:
             self.add_table = self.sub_table = self.mul_table = None
             self.neg_table = self.inv_table = self.shift_digits = None
 
     # -- construction helpers ------------------------------------------------
 
-    def _mul_poly(self, a: int, b: int) -> int:
-        """Product via polynomial multiplication mod the modulus (bootstrap)."""
-        p, e = self.p, self.e
-        da = _digits(a, p, e)
-        db = _digits(b, p, e)
-        prod = [0] * (2 * e - 1)
-        for i, ca in enumerate(da):
-            if ca:
-                for j, cb in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ca * cb) % p
-        rem = _poly_rem(prod, list(self.modulus), p)
-        return sum(c * p**i for i, c in enumerate(rem))
-
-    def _pow_poly(self, a: int, n: int) -> int:
-        r = 1
-        while n:
-            if n & 1:
-                r = self._mul_poly(r, a)
-            a = self._mul_poly(a, a)
-            n >>= 1
-        return r
-
-    def _build_log_tables(self) -> None:
-        q = self.q
-        order = q - 1
-        factors = _prime_factors(order) if order > 1 else []
-        gen = 1
-        for cand in range(2, q):
-            if all(self._pow_poly(cand, order // f) != 1 for f in factors):
-                gen = cand
+    def _build_log_tables(self, x_powers: np.ndarray) -> None:
+        q, p = self.q, self.p
+        for gen in range(1, q):
+            # times[a] encodes a gen: the digit rows times sum_t gen_t C^t
+            times = self.digits @ (np.tensordot(self.digits[gen], x_powers, 1) % p)
+            times %= p
+            times = (times @ self._place).tolist()
+            orbit = [1]
+            # bounded: under a reducible modulus the orbit can cycle without 1
+            while len(orbit) < q and (v := times[orbit[-1]]) != 1:
+                orbit.append(v)
+            if len(orbit) == q - 1:
                 break
+        else:
+            raise AssertionError("no element of order q-1")
         self.generator = gen
-        exp = [1] * q
-        for i in range(1, q):
-            exp[i] = self._mul_poly(exp[i - 1], gen)
-        if exp[order] != 1:
-            raise AssertionError("generator does not have order q-1")
         # exp_table[i] = gen^i for 0 <= i < q; log_table[0] = 0 is a placeholder
-        self.exp_table = np.array(exp, dtype=np.int64)
+        self.exp_table = np.array(orbit + [1], dtype=np.int64)
         self.log_table = np.zeros(q, dtype=np.int64)
-        self.log_table[self.exp_table[:order]] = np.arange(order)
+        self.log_table[orbit] = np.arange(q - 1)
 
-    def _build_dense_tables(self) -> None:
-        q, p, e = self.q, self.p, self.e
-        vals = np.arange(q, dtype=np.int64)
-        pw = p ** np.arange(e, dtype=np.int64)
-        digs = vals[:, None] // pw % p
+    def _build_dense_tables(self, x_powers: np.ndarray) -> None:
+        q, p = self.q, self.p
+        digs, pw = self.digits, self._place
         self.add_table = ((digs[:, None, :] + digs[None, :, :]) % p @ pw).astype(np.int64)
         self.neg_table = ((-digs) % p @ pw).astype(np.int64)
         self.sub_table = self.add_table[:, self.neg_table]
@@ -170,39 +148,18 @@ class FieldContext:
         mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
         mul[0, :] = mul[:, 0] = 0
         self.mul_table = mul
-        # shift_digits[t, a]: the GF(p) digits of x^t a, x^t encoded as p^t
-        self.shift_digits = digs[mul[pw]].astype(np.float64)
+        # shift_digits[t, a]: the GF(p) digits of x^t a
+        self.shift_digits = (digs @ x_powers % p).astype(np.float64)
         self.inv_table = exp[-log % (q - 1)]
         self.inv_table[0] = 0
 
     # -- scalar arithmetic on encodings ---------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
-        if p == 2:
-            return a ^ b
-        if self.e == 1:
-            return (a + b) % p
-        out, shift = 0, 1
-        for _ in range(self.e):
-            out += ((a + b) % p) * shift
-            a //= p
-            b //= p
-            shift *= p
-        return out
+        return int((self.digits[a] + self.digits[b]) % self.p @ self._place)
 
     def neg(self, a: int) -> int:
-        p = self.p
-        if p == 2:
-            return a
-        if self.e == 1:
-            return (-a) % p
-        out, shift = 0, 1
-        for _ in range(self.e):
-            out += ((-a) % p) * shift
-            a //= p
-            shift *= p
-        return out
+        return int(-self.digits[a] % self.p @ self._place)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))

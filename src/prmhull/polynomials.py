@@ -165,10 +165,6 @@ class SparsePolynomial:
 
     def evaluate(self, pts: PointSet) -> np.ndarray:
         """Exact evaluation at every point, as a vector of encodings."""
-        if pts.arity != self.nvars:
-            raise ValueError(f"point arity {pts.arity} != variable count {self.nvars}")
-        if pts.ctx != self.ctx:
-            raise ValueError("point set over a different field")
         return evaluate_polynomials(self.ctx, pts, [self])[0]
 
     def __repr__(self) -> str:
@@ -179,7 +175,16 @@ class SparsePolynomial:
 
 
 def evaluate_polynomials(ctx: FieldContext, pts: PointSet, polys: list) -> np.ndarray:
-    """Evaluate several polynomials at once; one row per polynomial."""
+    """Evaluate several polynomials at once; one row per polynomial.
+
+    Refuses a polynomial over another field or in another number of
+    variables than the points have coordinates.
+    """
+    for f in polys:
+        if f.nvars != pts.arity:
+            raise ValueError(f"point arity {pts.arity} != variable count {f.nvars}")
+        if f.ctx != ctx:
+            raise ValueError("polynomial over a different field")
     monos = list(dict.fromkeys(m for f in polys for m in f.terms))
     index = {m: j for j, m in enumerate(monos)}
     coeffs = np.zeros((len(polys), len(monos)), dtype=np.int64)
@@ -190,8 +195,13 @@ def evaluate_polynomials(ctx: FieldContext, pts: PointSet, polys: list) -> np.nd
 
 
 def evaluate_monomials(ctx: FieldContext, pts: PointSet, monomials: list) -> np.ndarray:
-    """Evaluations of bare monomials at all points (rows in given order)."""
+    """Evaluations of bare monomials at all points (rows in given order).
+
+    Refuses a point set over another field.
+    """
     require_tables(ctx)
+    if pts.ctx != ctx:
+        raise ValueError("point set over a different field")
     E = np.array([_monomial(m, pts.arity) for m in monomials], dtype=np.int64)
     E = E.reshape(len(monomials), pts.arity)
     coords = pts.array

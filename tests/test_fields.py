@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prmhull.fields import field_for_size, field_make, is_prime, prime_power
+from prmhull.fields import FieldContext, field_for_size, field_make, is_prime, prime_power
 
 SMALL_SIZES = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27]
 
@@ -147,16 +148,91 @@ def test_generator_has_full_order():
         assert len(seen) == q - 1 and v == 1
 
 
+def test_reducible_modulus_is_refused():
+    # x^2 - 1 = (x - 1)(x + 1): no element has order 8, and the search ends
+    with pytest.raises(AssertionError, match="order q-1"):
+        FieldContext(3, 2, (2, 0, 1))
+
+
 def test_is_prime():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
 
 
-def test_large_field_scalar_paths():
+@pytest.mark.parametrize("q", [625, 65536, 65521])
+def test_large_field_scalar_paths(q):
     """Fields above the dense-table limit still do exact scalar arithmetic."""
-    ctx = field_make(5, 4)  # GF(625)
+    ctx = field_for_size(q)
     assert ctx.mul_table is None
-    a = 617
+    a, b = 617, 7
     assert ctx.mul(a, ctx.inv(a)) == 1
     assert ctx.pow(a, ctx.q) == a
-    b = ctx.pow(7, 25)
-    assert ctx.pow(b, 25) == 7
+    c = ctx.pow(b, ctx.p)
+    assert ctx.pow(c, ctx.q // ctx.p) == b
+    for x, y in [(a, b), (b, a), (q - 1, q - 1), (q - 1, 1), (0, a)]:
+        assert ctx.sub(ctx.add(x, y), y) == x
+        assert ctx.add(x, ctx.neg(x)) == 0
+        assert ctx.neg(ctx.neg(x)) == x
+    assert ctx.exp_table.shape == (q,) and ctx.exp_table[q - 1] == 1
+    assert np.array_equal(np.sort(ctx.exp_table[: q - 1]), np.arange(1, q))
+
+
+# -- reference: schoolbook arithmetic on digit polynomials mod the modulus -----
+
+REFERENCE_SIZES = [2, 3, 4, 8, 9, 16, 25, 27, 49, 125, 243, 625]
+
+
+def _ref_digits(ctx, a):
+    return [a // ctx.p**i % ctx.p for i in range(ctx.e)]
+
+
+def _ref_encode(ctx, digits):
+    return sum(c * ctx.p**i for i, c in enumerate(digits))
+
+
+def _ref_add(ctx, a, b):
+    da, db = _ref_digits(ctx, a), _ref_digits(ctx, b)
+    return _ref_encode(ctx, [(x + y) % ctx.p for x, y in zip(da, db)])
+
+
+def _ref_mul(ctx, a, b):
+    """The product of the digit polynomials, reduced with x^e = -(m_0 + ... + m_{e-1} x^{e-1})."""
+    p, e, m = ctx.p, ctx.e, ctx.modulus
+    assert len(m) == e + 1 and m[e] == 1
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(_ref_digits(ctx, a)):
+        for j, y in enumerate(_ref_digits(ctx, b)):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for k in reversed(range(e, 2 * e - 1)):
+        c, prod[k] = prod[k], 0
+        for j in range(e):
+            prod[k - e + j] = (prod[k - e + j] - c * m[j]) % p
+    return _ref_encode(ctx, prod[:e])
+
+
+def _ref_order(ctx, a):
+    """Multiplicative order of a, or None when no power below q is 1."""
+    v = a
+    for n in range(1, ctx.q):
+        if v == 1:
+            return n
+        v = _ref_mul(ctx, v, a)
+    return None
+
+
+@pytest.mark.parametrize("q", REFERENCE_SIZES)
+def test_arithmetic_matches_schoolbook_reference(q):
+    ctx = field_for_size(q)
+    if q <= 16:
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+    else:
+        rng = np.random.default_rng(q)
+        pairs = [(0, q - 1), (1, q - 1), (q - 1, q - 1)] + rng.integers(0, q, (300, 2)).tolist()
+    for a, b in pairs:
+        assert ctx.mul(a, b) == _ref_mul(ctx, a, b)
+        assert ctx.add(a, b) == _ref_add(ctx, a, b)
+    if ctx.shift_digits is not None:
+        for t in range(ctx.e):
+            for a in range(q):
+                x_t_a = _ref_mul(ctx, ctx.p**t, a)  # x^t is encoded as p^t
+                assert ctx.shift_digits[t, a].tolist() == _ref_digits(ctx, x_t_a)
+    assert ctx.generator == next(g for g in range(1, q) if _ref_order(ctx, g) == q - 1)

@@ -245,6 +245,24 @@ def test_negative_and_non_integer_exponents_are_refused():
         evaluate_monomials(ctx, pts, [(1, 0)])
 
 
+def test_evaluation_refuses_another_fields_points_and_polynomials():
+    g4, g8 = field_for_size(4), field_for_size(8)
+    pts8 = projective_points(g8, 2)
+    f4 = SparsePolynomial(g4, 3, {(1, 0, 0): 2})
+    with pytest.raises(ValueError, match="different field"):
+        evaluate_polynomials(g8, pts8, [f4])
+    with pytest.raises(ValueError, match="different field"):
+        evaluate_monomials(g8, projective_points(g4, 2), [(1, 0, 0)])
+    with pytest.raises(ValueError, match="different field"):
+        f4.evaluate(pts8)
+    # the zero polynomial has no monomial whose length could give its arity away
+    for f in [SparsePolynomial(g8, 2, {(1, 0): 1}), SparsePolynomial.zero(g8, 2)]:
+        with pytest.raises(ValueError, match="arity"):
+            evaluate_polynomials(g8, pts8, [f])
+        with pytest.raises(ValueError, match="arity"):
+            f.evaluate(pts8)
+
+
 def test_format_examples():
     g4 = field_for_size(4)
     f = SparsePolynomial(g4, 3, {(0, 0, 4): 1, (0, 2, 2): 1, (2, 0, 2): 1, (2, 1, 1): 1})

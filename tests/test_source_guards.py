@@ -89,8 +89,8 @@ DENSE_TABLES = {"add_table", "sub_table", "mul_table", "neg_table", "inv_table",
 TABLE_OWNERS = {"fields.py", "codes.py"}
 
 
-def _dense_table_names(tree: ast.AST) -> list[int]:
-    """Lines that name a dense field table, as attribute, variable, import or string."""
+def _names(tree: ast.AST, names: set[str]) -> list[int]:
+    """Lines that name one of `names`, as attribute, variable, import or string."""
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
@@ -103,7 +103,7 @@ def _dense_table_names(tree: ast.AST) -> list[int]:
             name = node.value
         else:
             continue
-        if isinstance(name, str) and name in DENSE_TABLES:
+        if isinstance(name, str) and name in names:
             lines.append(node.lineno)
     return sorted(lines)
 
@@ -115,7 +115,7 @@ def _dense_table_names(tree: ast.AST) -> list[int]:
 )
 def test_only_the_field_and_the_kernel_name_dense_tables(path):
     # the q x q table format stays behind fields.py and the elimination kernel
-    assert _dense_table_names(ast.parse(path.read_text(), str(path))) == []
+    assert _names(ast.parse(path.read_text(), str(path)), DENSE_TABLES) == []
 
 
 def test_guard_sees_dense_table_names():
@@ -126,4 +126,23 @@ def test_guard_sees_dense_table_names():
         "y = getattr(ctx, 'inv_table')\n"
         "z = ctx.exp_table[ctx.log_table]\n"
     )
-    assert _dense_table_names(ast.parse(src)) == [1, 2, 3, 4]
+    assert _names(ast.parse(src), DENSE_TABLES) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "fields.py"], ids=lambda p: p.name
+)
+def test_only_the_field_names_its_modulus(path):
+    # the field polynomial enters arithmetic only through fields.py's companion matrix
+    assert _names(ast.parse(path.read_text(), str(path)), {"modulus"}) == []
+
+
+def test_guard_sees_modulus_names():
+    src = (
+        "from .fields import modulus\n"
+        "m = ctx.modulus[0]\n"
+        "modulus = 1\n"
+        "y = getattr(ctx, 'modulus')\n"
+        "z = 'modulus base must be >= 2'\n"
+    )
+    assert _names(ast.parse(src), {"modulus"}) == [1, 2, 3, 4]
