@@ -197,6 +197,10 @@ def self_hull_dim(q: int, d: int) -> int:
 def hull_dim_with_dual(q: int, d1: int, d2: int) -> int:
     """dim Hull_{PRM_d2}(PRM_d1) = dim(PRM_d1 cap PRM_d2^perp), d2 != q-1.
 
+    This hull fixes the entanglement of the asymmetric EAQECC from
+    (PRM_d1, PRM_d2): `quantum.prm_asym_eaqecc` takes
+    c = dim PRM_d1 - hull_dim_with_dual(q, d1, d2).
+
     The dual side reduces to the intersection at the complementary degree
     2(q-1) - d2; at d2 = 2(q-1) the dual is the all-ones code and the hull
     is zero because constants are never degree-d classes.

@@ -1,15 +1,16 @@
 """Entanglement-assisted quantum code parameters from plane Reed-Muller codes.
 
 The CSS-type construction turns a pair (C1, C2) into an asymmetric
-[[n, kappa, dz/dx; c]] code with c = dim C1 - dim(C1 cap C2perp) and
-kappa = n - (k1 + k2) + c; the Hermitian construction turns one code over
-GF(q^2) into [[n, kappa, delta; c]] with c = k - dim(C cap Cperp_h) and
-kappa = n - 2k + c.  For projective Reed-Muller pairs the hull dimensions
-have closed forms, so every parameter is emitted in closed form; the
-generic oracle path stays available for arbitrary codes and for
-cross-checking.  Hermitian distances are emitted as dual-weight lower
-bounds; Euclidean ones are exact weight-formula values and the codes are
-pure.
+[[n, kappa, dz/dx; c]] code with c = dim C1 - dim Hull_{C2}(C1), where
+Hull_{C2}(C1) = C1 cap C2perp, and kappa = n - (k1 + k2) + c; the Hermitian
+construction turns one code over GF(q^2) into [[n, kappa, delta; c]] with
+c = k - dim(C cap Cperp_h) and kappa = n - 2k + c.  Every c is k minus a
+hull dimension read from the hull modules: `euclidean_hull.hull_dim_with_dual`
+for PRM pairs, `hermitian_hull.hermitian_hull_dim` and `affine_u_size` for
+the Hermitian constructions.  The generic oracle path stays available for
+arbitrary codes and for cross-checking.  Hermitian distances are emitted as
+dual-weight lower bounds; Euclidean ones are exact weight-formula values and
+the codes are pure.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .codes import DEFAULT_WEIGHT_CAP, EnumerationBudgetError, LinearCode
+from .euclidean_hull import hull_dim_with_dual
 from .fields import field_for_size
 from .hermitian_hull import affine_u_size, hermitian_hull_dim
 from .prm import (
@@ -103,34 +105,16 @@ def _check_asym_degrees(q: int, d1: int, d2: int) -> None:
 def prm_asym_eaqecc(q: int, d1: int, d2: int) -> EaqeccParams:
     """Asymmetric EAQECC from the pair (PRM_d1, PRM_d2) over the plane.
 
-    c comes from the relative-hull dimension in closed form; the
-    congruent-sum degenerations (sum a multiple of q-1) are served with
-    their containment values of c.
+    c = dim C1 - dim Hull_{C2}(C1), the hull dimension read from
+    `euclidean_hull.hull_dim_with_dual`.  Purity is left open when d1 + d2
+    is a multiple of q-1: PRM_d1 and the dual of PRM_d2 are then nested.
     """
     _check_asym_degrees(q, d1, d2)
     n = q * q + q + 1
-    k1 = dim_rm(q, d1 - 1)
-    d2_perp = 2 * (q - 1) - d2
-    k2 = dim_rm(q, d2_perp - 1)
-    s = d1 + d2
-    if s % (q - 1) == 0:
-        if s in (q - 1, 2 * (q - 1)):
-            c = 0
-        elif s in (3 * (q - 1), 4 * (q - 1)):
-            c = dim_prm(q, d1) - dim_prm(q, d2_perp)
-        else:  # unreachable for in-range degrees
-            raise ValueError(f"congruent degree sum {s} is not served")
-        pure = None
-    elif s < 2 * (q - 1):
-        c = d1 + 1 - min(d1, q - 1 - d2) if d2 < q - 1 else d1 + 1
-        pure = True
-    else:
-        if d1 < q - 1:
-            c = k1 - k2 + d1 + 1
-        else:
-            c = k1 - k2 + q + 1 - min(d2_perp, d1 - (q - 1))
-        pure = True
-    kappa = n - (dim_prm(q, d1) + dim_prm(q, d2)) + c
+    k1 = dim_prm(q, d1)
+    c = k1 - hull_dim_with_dual(q, d1, d2)
+    pure = None if (d1 + d2) % (q - 1) == 0 else True
+    kappa = n - (k1 + dim_prm(q, d2)) + c
     dz = prm_params(q, 2, 2 * (q - 1) - d2).wt
     dx = prm_params(q, 2, 2 * (q - 1) - d1).wt
     return EaqeccParams(
@@ -179,7 +163,7 @@ def herm_eaqecc_rm(q: int, d: int) -> EaqeccParams:
         raise ValueError(f"require 0 <= d < q^2-1 = {Q-1}")
     n = Q * Q
     k = dim_rm(Q, d)
-    c = 0 if d < 2 * (q - 1) else k - affine_u_size(q, d).total
+    c = k - affine_u_size(q, d).total
     kappa = n - 2 * k + c
     delta = rm_params(Q, 2, rm_dual_degree(Q, 2, d)).wt
     return EaqeccParams(

@@ -57,10 +57,9 @@ def test_criterion_4_hermitian_sweep():
         records = vf.hermitian_sweep(q)
         bad = [r for r in records if r["status"] != "pass"]
         assert not bad, (q, bad[:5])
-        if q in (2, 3):
-            # the "observed tight" claim is a hard assertion at this scale
-            loose = [r for r in records if not r["tight"]]
-            assert not loose, (q, loose)
+        # the "observed tight" claim is a hard assertion at this scale
+        loose = [r for r in records if not r["tight"]]
+        assert not loose, (q, loose)
         bound_violations = [
             r for r in records if not r["exact"] and r["closed_form"] > r["oracle_dim"]
         ]

@@ -40,15 +40,17 @@ def test_tracer_target_resolves(module, attr):
             assert hasattr(target, "cache_info")
 
 
-@pytest.mark.parametrize(
-    "argv", [argv for argv in table_commands() if argv[0] == "table"], ids=" ".join
-)
-def test_table_output_matches_benchmark_reference(argv, capsys):
-    reference = json.loads((BENCH / "reference" / "tables.json").read_text())
+@pytest.fixture(scope="module")
+def tables_reference():
+    return json.loads((BENCH / "reference" / "tables.json").read_text())
+
+
+@pytest.mark.parametrize("argv", table_commands(), ids=" ".join)
+def test_table_output_matches_benchmark_reference(argv, tables_reference, capsys):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     got = {"sha256": hashlib.sha256(out.encode()).hexdigest(), "lines": out.count("\n")}
-    assert got == reference[" ".join(argv)]
+    assert got == tables_reference[" ".join(argv)]
 
 
 def test_verify_all_matches_benchmark_reference(capsys):

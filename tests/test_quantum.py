@@ -131,7 +131,7 @@ def test_herm_rm_examples():
         herm_eaqecc_rm(3, 8)
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4])
 def test_herm_rm_c_against_oracle(q):
     from prmhull.hermitian_hull import affine_hull_oracle
 
@@ -243,7 +243,7 @@ def test_purity_probe_zero_cap_builds_no_intersection(monkeypatch):
         purity_probe(4, 1, 2, cap=0)
 
 
-@pytest.mark.parametrize("q", [3, 5, 7, 8])
+@pytest.mark.parametrize("q", [3, 5, 7, 8, 11, 13])
 def test_closed_form_c_matches_oracle_across_fields(q):
     from prmhull.verify import eaqecc_euclid_sweep
 
