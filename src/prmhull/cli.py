@@ -315,11 +315,10 @@ def cmd_verify(args) -> int:
             raise ValueError(f"{flag} acts only under the eaqecc and all scopes, not {scope}")
     if args.cap is not None and not args.purity:
         raise ValueError("--cap acts only with --purity")
-    records: list[dict] = []
+    calls: list[vf.Call] = []  # (sweep, q, kwargs), in output order
 
     def run(sweep, qs, **kwargs):
-        for q in qs:
-            records.extend(sweep(q, **kwargs))
+        calls.extend((sweep, q, kwargs) for q in qs)
 
     # under scope "all" each sweep is clamped to its intended field range
     # (the Hermitian sweeps live over GF(q^2) and grow fast)
@@ -334,35 +333,16 @@ def cmd_verify(args) -> int:
     if scope in ("eaqecc", "all"):
         qs = args.q or [4, 5, 9]
         run(vf.eaqecc_euclid_sweep, qs)
-        golden = Path(args.goldens) / "table1.csv"
-        if golden.exists():
-            recs = [r for r in vf.table1_diff(golden) if r["q"] in qs]
-            failed = [r for r in recs if r["status"] == "fail"]
-            records.extend(failed)
-            records.append(
-                {
-                    "check": "eaqecc-reference-table",
-                    "q": qs,
-                    "rows_checked": len(recs),
-                    "diffs": len(failed),
-                    "status": "pass" if not failed else "fail",
-                }
-            )
-        else:
-            records.append(
-                {
-                    "check": "eaqecc-reference-table",
-                    "status": "info",
-                    "detail": f"{golden} not found; reference table not checked",
-                }
-            )
+        calls.append(
+            (vf.reference_table_check, qs, {"golden_path": Path(args.goldens) / "table1.csv"})
+        )
         if args.herm:
             herm_qs = [q for q in qs if q <= 4]
             run(vf.eaqecc_herm_sweep, herm_qs)
-            if 3 in herm_qs:
-                records.extend(vf.herm_reference_warn())
+            run(vf.herm_reference_warn, herm_qs)
         if args.purity:
             run(vf.purity_sweep, qs, cap=DEFAULT_WEIGHT_CAP if args.cap is None else args.cap)
+    records = vf.run_sweeps(calls)
 
     for record in records:
         _emit(record)

@@ -373,7 +373,10 @@ def field_matmul(ctx: FieldContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     acc = np.take(shift[0, :, 0], A) @ np.take(shift[0], B, axis=0).reshape(m, s * e)
     for t in range(1, e):
         acc += np.take(shift[0, :, t], A) @ np.take(shift[t], B, axis=0).reshape(m, s * e)
-    digits = np.fmod(acc, p, out=acc).reshape(r, s, e)
+    # exact below 2^53, where the rounded quotient cannot reach the next
+    # integer; several times faster than np.fmod
+    acc -= p * np.floor(acc / p)
+    digits = acc.reshape(r, s, e)
     out = digits[..., e - 1]
     for t in reversed(range(e - 1)):
         out = out * p + digits[..., t]

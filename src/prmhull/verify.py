@@ -5,12 +5,21 @@ Each sweep runs serially and returns a list of deterministic record dicts
 verdict: exact-mode mismatches are "fail", lower-bound tightness is
 reported but non-fatal, budget skips are "info" and known published
 discrepancies are "warn".  A run passes iff no record has status "fail".
+
+`run_sweeps` runs a list of independent sweep calls in forked workers, one
+per CPU the process may use, and returns what running them in order would.
 """
 
 from __future__ import annotations
 
 import csv
+import os
+import pickle
+import select
+import signal
+import threading
 from pathlib import Path
+from typing import Callable
 
 from . import euclidean_hull as eh
 from . import hermitian_hull as hh
@@ -204,20 +213,53 @@ def table1_diff(golden_path: str | Path) -> list[dict]:
     return records
 
 
-# Published reference parameters whose kappa disagrees with the defining
-# identity kappa = n - 2k + c given the construction's own c values; the
-# package follows the identity and reports the difference as a warning.
-HERM_REFERENCE_Q3 = {1: 85, 3: 71}
+def reference_table_check(qs: list[int], golden_path: Path) -> list[dict]:
+    """The golden rows over the fields `qs` that the closed forms do not
+    reproduce, then one record for the whole check.
+
+    The check is "info", not "pass", when the file is missing or has no
+    row over these fields, so that a check of nothing cannot read as passed.
+    """
+    if not golden_path.exists():
+        return [
+            {
+                "check": "eaqecc-reference-table",
+                "status": "info",
+                "detail": f"{golden_path} not found; reference table not checked",
+            }
+        ]
+    recs = [r for r in table1_diff(golden_path) if r["q"] in qs]
+    failed = [r for r in recs if r["status"] == "fail"]
+    summary = {
+        "check": "eaqecc-reference-table",
+        "q": qs,
+        "rows_checked": len(recs),
+        "diffs": len(failed),
+        "status": "pass" if not failed else "fail",
+    }
+    if not recs:
+        summary.update(
+            status="info", detail=f"{golden_path} has no row over these fields; nothing checked"
+        )
+    return failed + [summary]
 
 
-def herm_reference_warn() -> list[dict]:
+# Published reference parameters, by q, whose kappa disagrees with the
+# defining identity kappa = n - 2k + c given the construction's own c values;
+# the package follows the identity and reports the difference as a warning.
+HERM_REFERENCE = {3: {1: 85, 3: 71}}
+
+
+def herm_reference_warn(q: int) -> list[dict]:
+    """One warning per published Hermitian-construction row over GF(q^2)
+    that breaks the kappa identity; none for fields without such rows."""
     records = []
-    for d, published_kappa in sorted(HERM_REFERENCE_Q3.items()):
-        params = qt.herm_eaqecc_prm(3, d)
+    for d, published_kappa in sorted(HERM_REFERENCE.get(q, {}).items()):
+        params = qt.herm_eaqecc_prm(q, d)
         records.append(
             {
                 "check": "eaqecc-herm-reference-kappa",
-                "q": 3,
+                "q": q,
                 "d": d,
                 "published_kappa": published_kappa,
                 "identity_kappa": params.kappa,
@@ -315,3 +357,120 @@ def worked_examples_payload() -> dict:
         "euclidean_q4_intersection_4_5": euclid,
         "hermitian_q3_d7": herm,
     }
+
+
+def available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# the sweeps whose oracle works over GF(q^2)
+_OVER_GF_Q2 = (hermitian_sweep, affine_sweep, eaqecc_herm_sweep)
+
+Call = tuple[Callable[..., list[dict]], object, dict]
+
+
+def _working_field(call: Call) -> int:
+    """The size of the field a call works over; 0 for the reference-table check."""
+    sweep, q, _ = call
+    if not isinstance(q, int):
+        return 0
+    return q * q if sweep in _OVER_GF_Q2 else q
+
+
+def run_sweeps(calls: list[Call]) -> list[dict]:
+    """The records of every call `sweep(q, **kwargs)`, concatenated in call order.
+
+    The calls are independent.  Those over one working field share its
+    code caches, so they form one batch, and the batches run in forked
+    workers, the parent among them, one per CPU the process may use,
+    largest field first.  They run one after another here when that is
+    one CPU, without os.fork, when the process has other threads (a fork
+    copies none of them), or when the batch queue would not fit one atomic
+    pipe write (1,024 batches on Linux).  Either way the records, and the
+    exception raised, are those of the serial loop: a call that raised or
+    whose worker died runs again here, in call order, so the first call's
+    exception surfaces.
+    """
+    by_field: dict[int, list[int]] = {}
+    for i, call in enumerate(calls):
+        by_field.setdefault(_working_field(call), []).append(i)
+    batches = [by_field[size] for size in sorted(by_field, reverse=True)]
+    workers = min(available_cpus(), len(batches))
+    done = {}
+    if (
+        workers > 1
+        and hasattr(os, "fork")
+        and threading.active_count() == 1
+        and 4 * len(batches) <= select.PIPE_BUF
+    ):
+        done = _run_forked(calls, batches, workers)
+    records = []
+    for i, (sweep, q, kwargs) in enumerate(calls):
+        records.extend(done[i] if i in done else sweep(q, **kwargs))
+    return records
+
+
+def _run_forked(
+    calls: list[Call], batches: list[list[int]], workers: int
+) -> dict[int, list[dict]]:
+    """{index: records} of the calls that returned, run by `workers` processes.
+
+    The batch numbers are written to one pipe as 4-byte words before any
+    fork.  Each process reads one word when it becomes free; pipe reads
+    are atomic, so each batch goes to exactly one process.  Each child
+    pickles its results into a pipe of its own and leaves by os._exit, so
+    no stdout buffer or exit hook of the parent runs twice.
+    """
+    tasks, tasks_w = os.pipe()
+    os.write(tasks_w, b"".join(j.to_bytes(4, "little") for j in range(len(batches))))
+    os.close(tasks_w)
+    pids, results = [], []
+    try:
+        for _ in range(workers - 1):
+            result_r, result_w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no more processes: the ones there are do the work
+                os.close(result_r)
+                os.close(result_w)
+                break
+            if pid == 0:
+                try:
+                    with open(result_w, "wb") as out:
+                        pickle.dump(_take(calls, batches, tasks), out)
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+            results.append(open(result_r, "rb"))
+            os.close(result_w)
+        done = _take(calls, batches, tasks)
+        for result in results:
+            try:
+                done.update(pickle.loads(result.read()))
+            except (EOFError, pickle.UnpicklingError):
+                pass  # the child died before it wrote all; run_sweeps runs its calls
+        return done
+    finally:
+        os.close(tasks)
+        for result in results:
+            result.close()
+        for pid in pids:
+            # a child whose result was read has exited; any other is cut short
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _take(calls: list[Call], batches: list[list[int]], tasks: int) -> dict[int, list[dict]]:
+    """Run the batches whose numbers this process reads from the task pipe."""
+    done = {}
+    while word := os.read(tasks, 4):
+        for i in batches[int.from_bytes(word, "little")]:
+            sweep, q, kwargs = calls[i]
+            try:
+                done[i] = sweep(q, **kwargs)
+            except Exception:
+                pass  # run_sweeps runs the call again and raises in call order
+    return done

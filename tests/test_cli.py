@@ -1,13 +1,18 @@
 import contextlib
+import errno
 import io
 import json
+import os
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from prmhull import verify
 from prmhull.cli import main
 from prmhull.points import projective_points
 
@@ -286,6 +291,8 @@ def test_verify_kappa_identity_failure_fails_the_run(capsys, monkeypatch):
         return dataclasses.replace(params, kappa=params.kappa + 1)
 
     monkeypatch.setattr(quantum, "herm_eaqecc_prm", off_by_one)
+    # forked workers see the patch too
+    monkeypatch.setattr(verify, "available_cpus", lambda: 2)
     code, out, _ = run_cli(capsys, "verify", "eaqecc", "--q", "2", "--herm")
     assert code == 1
     recs = jlines(out)
@@ -295,6 +302,135 @@ def test_verify_kappa_identity_failure_fails_the_run(capsys, monkeypatch):
     summary = recs[-1]
     assert summary["status"] == "fail"
     assert summary["failures"] == len(herm)
+
+
+def test_verify_reference_table_without_rows_for_the_fields_is_info(capsys, goldens_dir):
+    # table1.csv has rows for q in {4, 5, 9} only: a check of no row is not a pass
+    code, out, _ = run_cli(capsys, "verify", "eaqecc", "--q", "3", "--goldens", str(goldens_dir))
+    assert code == 0
+    recs = jlines(out)
+    (table,) = [r for r in recs if r["check"] == "eaqecc-reference-table"]
+    assert table["rows_checked"] == 0 and table["status"] == "info"
+    assert "nothing checked" in table["detail"]
+    assert recs[-1]["status"] == "pass"
+
+
+def _forks(monkeypatch) -> list[int]:
+    """The pids of the children os.fork makes from now on in this process."""
+    pids, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_all_is_the_same_serial_and_forked(capsys, monkeypatch, goldens_dir):
+    forks = _forks(monkeypatch)
+    argv = ("verify", "all", "--goldens", str(goldens_dir))
+    monkeypatch.setattr(verify, "available_cpus", lambda: 1)
+    serial = run_cli(capsys, *argv)
+    assert forks == []
+    monkeypatch.setattr(verify, "available_cpus", lambda: 3)
+    assert run_cli(capsys, *argv) == serial
+    assert len(forks) == 2
+    assert serial[0] == 0 and serial[2] == ""
+    _no_child_left()
+
+
+def test_run_sweeps_keeps_the_calls_over_one_field_in_one_process(monkeypatch):
+    # they share that field's code caches
+    monkeypatch.setattr(verify, "available_cpus", lambda: 2)
+
+    def sweep(q, tag):
+        time.sleep(0.05)
+        return [{"q": q, "tag": tag, "pid": os.getpid()}]
+
+    records = verify.run_sweeps([(sweep, q, {"tag": tag}) for tag in "ab" for q in (3, 4)])
+    assert [(r["q"], r["tag"]) for r in records] == [(3, "a"), (4, "a"), (3, "b"), (4, "b")]
+    for q in (3, 4):
+        assert len({r["pid"] for r in records if r["q"] == q}) == 1
+    _no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_verify_reports_the_error_of_the_first_failing_call(capsys, monkeypatch, cpus):
+    # GF(4096) is queued first and, with q = 32 held back, fails first; the
+    # serial loop would fail on GF(1024) first, so that is the error
+    real = verify.hermitian_sweep
+
+    def slow_at_32(q):
+        if q == 32:
+            time.sleep(0.2)
+        return real(q)
+
+    monkeypatch.setattr(verify, "hermitian_sweep", slow_at_32)
+    monkeypatch.setattr(verify, "available_cpus", lambda: cpus)
+    code, out, err = run_cli(capsys, "verify", "hermitian", "--q", "32,64")
+    assert code == 2 and out == ""
+    assert "GF(1024)" in json.loads(err)["error"]
+    _no_child_left()
+
+
+def _child_dies(monkeypatch):
+    parent, real = os.getpid(), verify.euclid_sweep
+
+    def euclid_sweep(q):
+        if os.getpid() != parent:
+            os._exit(1)
+        return real(q)
+
+    monkeypatch.setattr(verify, "euclid_sweep", euclid_sweep)
+
+
+def _fork_fails(monkeypatch):
+    def fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+@pytest.mark.parametrize("lose", [_child_dies, _fork_fails], ids=lambda f: f.__name__)
+def test_verify_calls_of_a_lost_worker_run_in_the_parent(capsys, monkeypatch, lose):
+    argv = ("verify", "euclid", "--q", "3,4,5")
+    expected = run_cli(capsys, *argv)
+    monkeypatch.setattr(verify, "available_cpus", lambda: 2)
+    lose(monkeypatch)
+    assert run_cli(capsys, *argv) == expected
+    assert expected[0] == 0
+    _no_child_left()
+
+
+@pytest.mark.parametrize("case", ["one cpu", "no fork", "another thread"])
+def test_verify_runs_serially_where_forking_cannot_help(capsys, monkeypatch, case):
+    def forked(*args):
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(verify, "_run_forked", forked)
+    monkeypatch.setattr(verify, "available_cpus", lambda: 1 if case == "one cpu" else 2)
+    if case == "no fork":
+        monkeypatch.delattr(os, "fork")
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, args=(30,))
+    if case == "another thread":
+        thread.start()
+    try:
+        code, out, _ = run_cli(capsys, "verify", "euclid", "--q", "3,4")
+    finally:
+        stop.set()
+        if thread.is_alive():
+            thread.join(30)
+    assert not thread.is_alive()
+    assert code == 0 and jlines(out)[-1]["status"] == "pass"
 
 
 def test_output_byte_stable(capsys):

@@ -4,6 +4,7 @@ import io
 import numpy as np
 import pytest
 
+from prmhull import verify
 from prmhull.cli import main
 from prmhull.codes import field_matmul
 from prmhull.euclidean_hull import relative_hull_dim
@@ -191,7 +192,9 @@ def test_kernel_self_checks_at_larger_q(q, pairs):
         assert inter.k == relative_hull_dim(q, d1, d2)
 
 
-def test_code_caches_are_bounded_and_hold_the_verify_all_working_set(goldens_dir):
+def test_code_caches_are_bounded_and_hold_the_verify_all_working_set(goldens_dir, monkeypatch):
+    # on one CPU every sweep runs in this process, so these caches see them all
+    monkeypatch.setattr(verify, "available_cpus", lambda: 1)
     caches = (prm_code, rm_code)
     for cache in caches:
         assert cache.cache_info().maxsize == CODE_CACHE_SIZE

@@ -146,3 +146,68 @@ def test_guard_sees_modulus_names():
         "z = 'modulus base must be >= 2'\n"
     )
     assert _names(ast.parse(src), {"modulus"}) == [1, 2, 3, 4]
+
+
+# concurrent holds only concurrent.futures
+POOL_PACKAGES = {"multiprocessing", "concurrent"}
+
+
+def _forks_and_pool_imports(tree: ast.AST) -> tuple[list[str], list[int]]:
+    """(enclosing function of each `os.fork`, lines importing a process pool)."""
+    forks, imports = [], []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "fork"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        ):
+            forks.append(func)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            forks.extend(func for alias in node.names if alias.name == "fork")
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules = [node.module]
+        else:
+            modules = []
+        if any(module.split(".")[0] in POOL_PACKAGES for module in modules):
+            imports.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, "")
+    return forks, imports
+
+
+def test_one_function_forks_and_no_module_imports_a_process_pool():
+    # verify's sweeps run in workers from one fork-and-pipe executor; a pool
+    # library would cost its import and start-up on every run
+    forks, imports = [], []
+    for path in sorted(SRC.glob("*.py")):
+        f, i = _forks_and_pool_imports(ast.parse(path.read_text(), str(path)))
+        forks += [(path.name, func) for func in f]
+        imports += [(path.name, line) for line in i]
+    (where,) = set(forks)
+    assert where[1], "os.fork at module level"
+    assert imports == []
+
+
+def test_guard_sees_forks_and_pool_imports():
+    src = (
+        "import multiprocessing\n"
+        "import concurrent.futures as cf\n"
+        "from concurrent import futures\n"
+        "from multiprocessing.pool import Pool\n"
+        "from os import fork\n"
+        "import os\n"
+        "def f():\n"
+        "    return os.fork()\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        pid = os.fork\n"
+    )
+    assert _forks_and_pool_imports(ast.parse(src)) == (["", "f", "g"], [1, 2, 3, 4])
