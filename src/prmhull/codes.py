@@ -4,13 +4,18 @@ Hermitian duals, and minimum weight by the Brouwer-Zimmermann search.
 
 A LinearCode is its RREF generator matrix (zero rows dropped), which is
 the canonical representative of the row space: two codes are equal iff
-their matrices are identical.  Row operations are vectorized through the
-field's dense lookup tables, which no module outside the kernel and
-fields.py reads, so the kernel needs q <= fields.TABLE_LIMIT.
-The matrix is stored read-only as uint16, which holds every encoding
-below that limit; `rref` copies its input to int64 and eliminates there,
-each pivot step touching only the columns from the pivot on (the rows
-below the pivot row are already zero to its left).
+their matrices are identical.  The field keeps only its digit rows and
+log/antilog pair; `kernel_tables` builds from them, once per field and on
+first use, the three tables the kernel reads: the q x q `mul` and `sub`
+that vectorize the row operations of `rref`, and the e x q x e `shift`
+of `field_matmul`.  Every other operation is written with those: a
+negation is a row of `sub` (-b = 0 - b), a sum a - (0 - b), and the one
+inverse per pivot is read from the log/antilog pair.  The tables need
+q <= TABLE_LIMIT, so the kernel, and every code built with it, refuses
+larger fields.  The matrix is stored read-only as uint16, which holds
+every encoding below that limit; `rref` copies its input to int64 and
+eliminates there, each pivot step touching only the columns from the
+pivot on (the rows below the pivot row are already zero to its left).
 
 A code's dual is computed once and kept in its `_dual` slot.  The memo
 points one way only: a dual never refers back to the code it came from,
@@ -43,7 +48,7 @@ is the relative hull against the memoised dual of the larger code, so
 its Gram matrix is k1 x (n-k2), the smaller of the two choices.
 `field_matmul` writes A B as sum_t A_t (x^t B) over the e GF(p) digit
 planes A_t of A: one float64 BLAS matmul per plane, against the digits
-of x^t B read from the field's shift table, then one reduction mod p.
+of x^t B read from the kernel's shift table, then one reduction mod p.
 The sums stay below m e (p-1)^2 for inner dimension m, exact while that
 is under 2^53, and a larger product raises ValueError.
 
@@ -97,12 +102,14 @@ weight whose search counted more than the cap refuses too.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import comb
 
 import numpy as np
 
-from .fields import FieldContext, require_tables
+from .fields import FieldContext
 
+TABLE_LIMIT = 512  # the kernel's q x q tables only up to this size
 DEFAULT_WEIGHT_CAP = 20_000_000
 _MESSAGE_BLOCK = 1 << 13
 _FLOAT_EXACT = 1 << 53  # float64 holds every integer below this exactly
@@ -112,14 +119,34 @@ class EnumerationBudgetError(RuntimeError):
     """The search would enumerate more messages than the budget allows."""
 
 
+@lru_cache(maxsize=None)
+def kernel_tables(ctx: FieldContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mul, sub, shift) over ctx: mul[a, b] = a b and sub[a, b] = a - b
+    (q x q, int64), and shift[t, a] the GF(p) digits of x^t a (e x q x e,
+    float64).  Raises ValueError for q > TABLE_LIMIT."""
+    q, p, e = ctx.q, ctx.p, ctx.e
+    if q > TABLE_LIMIT:
+        raise ValueError(f"dense tables need q <= {TABLE_LIMIT}; {ctx!r} is too large")
+    exp, log, digits = ctx.exp_table, ctx.log_table, ctx.digits
+    mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
+    mul[0, :] = mul[:, 0] = 0
+    place = p ** np.arange(e, dtype=np.int64)
+    # one digit plane at a time: q x q temporaries, not q x q x e
+    sub = sum((digits[:, t, None] - digits[None, :, t]) % p * place[t] for t in range(e))
+    # x^t is encoded as p^t for t < e
+    shift = digits[mul[place]].astype(np.float64)
+    for table in (mul, sub, shift):
+        table.setflags(write=False)  # shared by every caller through the cache
+    return mul, sub, shift
+
+
 def rref(ctx: FieldContext, rows: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns; zero rows dropped."""
-    require_tables(ctx)
+    MUL, SUB, _ = kernel_tables(ctx)
     M = np.array(rows, dtype=np.int64)
     if M.ndim != 2:
         raise ValueError("expected a 2-d array of encodings")
     nrows, ncols = M.shape
-    MUL, SUB, INV = ctx.mul_table, ctx.sub_table, ctx.inv_table
     r = 0
     pivots = []
     for c in range(ncols):
@@ -133,9 +160,8 @@ def rref(ctx: FieldContext, rows: np.ndarray) -> tuple[np.ndarray, tuple[int, ..
         pr = r + int(nz[0])
         if pr != r:
             M[[r, pr], c:] = M[[pr, r], c:]
-        inv = INV[M[r, c]]
-        if inv != 1:
-            M[r, c:] = MUL[inv, M[r, c:]]
+        if M[r, c] != 1:
+            M[r, c:] = MUL[ctx.inv(int(M[r, c])), M[r, c:]]
         col = M[:, c].copy()
         col[r] = 0
         hits = np.nonzero(col)[0]
@@ -173,10 +199,7 @@ class LinearCode:
         length = lengths.pop()
         if n is not None and n != length:
             raise ValueError(f"rows have length {length}, expected {n}")
-        M = np.array(rows, dtype=np.int64)
-        if M.size and (M.min() < 0 or M.max() >= ctx.q):
-            raise ValueError("entries are not element encodings of this field")
-        R, piv = rref(ctx, M)
+        R, piv = rref(ctx, _encodings(ctx, rows))
         return cls(ctx, length, R, piv)
 
     @property
@@ -200,7 +223,7 @@ class LinearCode:
     def dual(self) -> LinearCode:
         """Euclidean dual under the standard inner product (memoised)."""
         if self._dual is None:
-            ctx = require_tables(self.ctx)
+            ctx = self.ctx
             if 2 * self.k < self.n:
                 R, piv = _null_space(ctx, self.matrix)  # one k x n elimination
             else:
@@ -232,7 +255,9 @@ class LinearCode:
         # G2 is the identity on its pivot columns
         free2 = _free_columns(n, other.pivots)
         gram = field_matmul(ctx, self.matrix[:, free2], other.matrix[:, free2].T)
-        gram = ctx.add_table[gram, self.matrix[:, list(other.pivots)]]
+        # plus G1 on G2's pivots: a + b = a - (0 - b)
+        _, sub, _ = kernel_tables(ctx)
+        gram = sub[gram, sub[0, self.matrix[:, list(other.pivots)]]]
         null, null_piv = _null_space(ctx, gram.T)
         # N and G1 are both in RREF, so N G1 is too, with pivots G1's at N's;
         # G1 is the identity on its pivot columns, where N G1 is N itself
@@ -274,12 +299,11 @@ class LinearCode:
         R = np.asarray(rows, dtype=np.int64)
         is_free = _free_columns(self.n, self.pivots)
         coef = R[:, list(self.pivots)]
-        return self.ctx.sub_table[
-            R[:, is_free], field_matmul(self.ctx, coef, self.matrix[:, is_free])
-        ]
+        _, sub, _ = kernel_tables(self.ctx)
+        return sub[R[:, is_free], field_matmul(self.ctx, coef, self.matrix[:, is_free])]
 
     def contains(self, vector) -> bool:
-        v = np.array(vector, dtype=np.int64).reshape(1, -1)
+        v = _encodings(self.ctx, vector).reshape(1, -1)
         if v.shape[1] != self.n:
             raise ValueError("vector length mismatch")
         return not self._reduce_rows(v).any()
@@ -325,6 +349,14 @@ class LinearCode:
         return _brouwer_zimmermann(self, cap, floor, sub)[0]
 
 
+def _encodings(ctx: FieldContext, rows) -> np.ndarray:
+    """rows as an int64 array; raises ValueError unless every entry is in [0, q)."""
+    M = np.array(rows, dtype=np.int64)
+    if M.size and (M.min() < 0 or M.max() >= ctx.q):
+        raise ValueError("entries are not element encodings of this field")
+    return M
+
+
 def _free_columns(n: int, pivots) -> np.ndarray:
     """Boolean mask of the n columns that are not pivots."""
     is_free = np.ones(n, dtype=bool)
@@ -338,7 +370,8 @@ def _check_matrix(ctx: FieldContext, gen: np.ndarray, pivots) -> tuple[np.ndarra
     free = np.flatnonzero(_free_columns(gen.shape[1], pivots))
     H = np.zeros((len(free), gen.shape[1]), dtype=np.int64)
     H[np.arange(len(free)), free] = 1
-    H[:, list(pivots)] = ctx.neg_table[gen[:, free]].T
+    _, sub, _ = kernel_tables(ctx)
+    H[:, list(pivots)] = sub[0, gen[:, free]].T  # -b = 0 - b
     return H, tuple(free.tolist())
 
 
@@ -356,11 +389,11 @@ def field_matmul(ctx: FieldContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
     With x the field's polynomial variable and A_t the e GF(p) digit planes
     of A, A B = sum_t A_t (x^t B): one float64 matmul per plane, against
-    the digits of x^t B from the field's shift table side by side (m x s e).
+    the digits of x^t B from the kernel's shift table side by side (m x s e).
     The sums are integers below m e (p-1)^2, exact while that is under
     2^53, which is checked; one reduction mod p and a recombination end it.
     """
-    require_tables(ctx)
+    _, _, shift = kernel_tables(ctx)
     A, B = np.asarray(A), np.asarray(B)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
         raise ValueError(f"cannot multiply shapes {A.shape} and {B.shape}")
@@ -368,7 +401,6 @@ def field_matmul(ctx: FieldContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     p, e = ctx.p, ctx.e
     if m * e * (p - 1) ** 2 >= _FLOAT_EXACT:
         raise ValueError(f"inner dimension {m} is too large for an exact product over {ctx!r}")
-    shift = ctx.shift_digits
     # A_t is the plain digits at shift 0, read one plane at a time to keep peak RSS down
     acc = np.take(shift[0, :, 0], A) @ np.take(shift[0], B, axis=0).reshape(m, s * e)
     for t in range(1, e):

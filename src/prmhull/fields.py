@@ -21,14 +21,10 @@ multiplicative group is cyclic of order q - 1.  The modulus enters the
 arithmetic through C alone.
 
 Scalar add, sub and neg read `digits`; scalar mul, inv, div and pow,
-power_table and polynomial evaluation read the log/antilog pair.  For
-fields with q <= TABLE_LIMIT, dense numpy tables are also built for the
-elimination kernel in codes.py, the only other module that reads them:
-add_table, sub_table, neg_table from `digits`; mul_table and inv_table
-from the pair; and shift_digits (e x q x e, float64), whose [t, a] is
-the GF(p) digits of x^t a, the rows `digits` C^t mod p, all the matrix
-product reads.  The kernel, and evaluation with it, refuse larger fields
-(`require_tables`), so only the scalar API serves q > TABLE_LIMIT.
+power_table and polynomial evaluation read the log/antilog pair.  Nothing
+else is stored and nothing depends on q: the elimination kernel in
+codes.py builds the q x q tables it reads from these two on first use,
+and refuses the fields too large for them.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ from functools import lru_cache
 import numpy as np
 
 MAX_FIELD_SIZE = 1 << 16
-TABLE_LIMIT = 512  # dense q x q numpy tables only below this size
 
 
 def is_prime(n: int) -> bool:
@@ -109,11 +104,6 @@ class FieldContext:
             x_powers.append(x_powers[-1] @ companion % p)
         x_powers = np.stack(x_powers)
         self._build_log_tables(x_powers)
-        if self.q <= TABLE_LIMIT:
-            self._build_dense_tables(x_powers)
-        else:
-            self.add_table = self.sub_table = self.mul_table = None
-            self.neg_table = self.inv_table = self.shift_digits = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -137,21 +127,6 @@ class FieldContext:
         self.exp_table = np.array(orbit + [1], dtype=np.int64)
         self.log_table = np.zeros(q, dtype=np.int64)
         self.log_table[orbit] = np.arange(q - 1)
-
-    def _build_dense_tables(self, x_powers: np.ndarray) -> None:
-        q, p = self.q, self.p
-        digs, pw = self.digits, self._place
-        self.add_table = ((digs[:, None, :] + digs[None, :, :]) % p @ pw).astype(np.int64)
-        self.neg_table = ((-digs) % p @ pw).astype(np.int64)
-        self.sub_table = self.add_table[:, self.neg_table]
-        exp, log = self.exp_table, self.log_table
-        mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
-        mul[0, :] = mul[:, 0] = 0
-        self.mul_table = mul
-        # shift_digits[t, a]: the GF(p) digits of x^t a
-        self.shift_digits = (digs @ x_powers % p).astype(np.float64)
-        self.inv_table = exp[-log % (q - 1)]
-        self.inv_table[0] = 0
 
     # -- scalar arithmetic on encodings ---------------------------------------
 
@@ -246,9 +221,3 @@ def field_for_size(q: int) -> FieldContext:
     """GF(q) for a prime power q, factoring q as p^e."""
     return field_make(*prime_power(q))
 
-
-def require_tables(ctx: FieldContext) -> FieldContext:
-    """ctx itself; raises ValueError when it has no dense tables (q > TABLE_LIMIT)."""
-    if ctx.mul_table is None:
-        raise ValueError(f"dense tables need q <= {TABLE_LIMIT}; {ctx!r} is too large")
-    return ctx

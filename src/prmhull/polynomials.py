@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .codes import field_matmul
-from .fields import FieldContext, require_tables
+from .codes import field_matmul, kernel_tables
+from .fields import FieldContext
 from .points import PointSet
 
 Monomial = tuple  # exponent tuple, one entry per variable
@@ -197,9 +197,10 @@ def evaluate_polynomials(ctx: FieldContext, pts: PointSet, polys: list) -> np.nd
 def evaluate_monomials(ctx: FieldContext, pts: PointSet, monomials: list) -> np.ndarray:
     """Evaluations of bare monomials at all points (rows in given order).
 
-    Refuses a point set over another field.
+    Refuses a point set over another field, and a field too large for
+    the kernel, which every code built from these rows goes to.
     """
-    require_tables(ctx)
+    kernel_tables(ctx)
     if pts.ctx != ctx:
         raise ValueError("point set over a different field")
     E = np.array([_monomial(m, pts.arity) for m in monomials], dtype=np.int64)

@@ -18,8 +18,8 @@ from itertools import product
 
 import numpy as np
 
-from .codes import LinearCode, rref
-from .fields import FieldContext, require_tables
+from .codes import LinearCode, kernel_tables, rref
+from .fields import FieldContext
 from .points import affine_points, projective_points
 from .polynomials import evaluate_monomials, grlex_key
 
@@ -96,8 +96,8 @@ def _check_degree(q: int, m: int, d: int, lowest: int) -> None:
 def prm_code(ctx: FieldContext, m: int, d: int) -> LinearCode:
     """The projective Reed-Muller code of degree d over P^m."""
     _check_degree(ctx.q, m, d, 1)
-    # refuse before the point set is built and cached
-    pts = projective_points(require_tables(ctx), m)
+    kernel_tables(ctx)  # refuse a field too large before its point set is built and cached
+    pts = projective_points(ctx, m)
     rows = evaluate_monomials(ctx, pts, degree_monomials(m + 1, d))
     R, piv = rref(ctx, rows)
     return LinearCode(ctx, len(pts), R, piv)
@@ -107,7 +107,8 @@ def prm_code(ctx: FieldContext, m: int, d: int) -> LinearCode:
 def rm_code(ctx: FieldContext, m: int, d: int) -> LinearCode:
     """The affine Reed-Muller code of order d over A^m."""
     _check_degree(ctx.q, m, d, 0)
-    pts = affine_points(require_tables(ctx), m)
+    kernel_tables(ctx)
+    pts = affine_points(ctx, m)
     rows = evaluate_monomials(ctx, pts, bounded_monomials(m, d, ctx.q - 1))
     R, piv = rref(ctx, rows)
     return LinearCode(ctx, len(pts), R, piv)

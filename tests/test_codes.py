@@ -39,6 +39,16 @@ def test_from_rows_rejects_ragged_and_out_of_range():
         LinearCode.from_rows(g2, [])
 
 
+def test_contains_refuses_entries_that_are_not_field_elements():
+    g3 = field_for_size(3)
+    code = LinearCode.from_rows(g3, [[1, 0, 2]])
+    assert code.contains([2, 0, 1]) and not code.contains([1, 0, 1])
+    # -1 would index the last row of a table, 5 past its end
+    for bad in ([1, 0, -1], [1, 0, 3], [1, 0, 5]):
+        with pytest.raises(ValueError, match="not element encodings"):
+            code.contains(bad)
+
+
 def test_rref_is_canonical():
     g3 = field_for_size(3)
     a = LinearCode.from_rows(g3, [(1, 2, 0), (0, 1, 1)])
@@ -228,10 +238,23 @@ def test_min_weight_excluding_random_cross_check(q):
 # -- kernel self-checks: differential against the explicit construction --------
 
 
+@functools.lru_cache(maxsize=None)
+def _scalar_tables(ctx):
+    """(add, sub, mul, inv) written entry by entry with the field's scalar
+    arithmetic, so that no reference reads the kernel's tables."""
+    elems = range(ctx.q)
+    add, sub, mul = (
+        np.array([[op(a, b) for b in elems] for a in elems], dtype=np.int64)
+        for op in (ctx.add, ctx.sub, ctx.mul)
+    )
+    inv = np.array([0] + [ctx.inv(a) for a in elems[1:]], dtype=np.int64)
+    return add, sub, mul, inv
+
+
 def _reference_rref(ctx, rows):
     """Gauss-Jordan elimination with every row operation on whole rows."""
     M = np.array(rows, dtype=np.int64)
-    MUL, SUB, INV = ctx.mul_table, ctx.sub_table, ctx.inv_table
+    _, SUB, MUL, INV = _scalar_tables(ctx)
     r, pivots = 0, []
     for c in range(M.shape[1]):
         nz = np.nonzero(M[r:, c])[0]
@@ -256,7 +279,7 @@ def _reference_dual(code):
     for i, f in enumerate(free):
         H[i, f] = 1
         for r, pc in enumerate(code.pivots):
-            H[i, pc] = ctx.neg_table[code.matrix[r, f]]
+            H[i, pc] = ctx.neg(int(code.matrix[r, f]))
     return _reference_rref(ctx, H)
 
 
@@ -272,14 +295,15 @@ def _same(code, reference):
 
 
 def _inner_products(ctx, A, B, twist=None):
-    """Matrix of sum_j A[i, j] * twist(B[l, j]) through the field tables."""
+    """Matrix of sum_j A[i, j] * twist(B[l, j]) through the scalar tables."""
+    ADD, _, MUL, _ = _scalar_tables(ctx)
     B = np.asarray(B, dtype=np.int64)
     if twist is not None:
         B = twist[B]
-    prods = ctx.mul_table[np.asarray(A, dtype=np.int64)[:, None, :], B[None, :, :]]
+    prods = MUL[np.asarray(A, dtype=np.int64)[:, None, :], B[None, :, :]]
     acc = np.zeros(prods.shape[:2], dtype=np.int64)
     for j in range(prods.shape[2]):
-        acc = ctx.add_table[acc, prods[:, :, j]]
+        acc = ADD[acc, prods[:, :, j]]
     return acc
 
 
@@ -449,16 +473,17 @@ def _membership_cases(draw):
     where = draw(st.sampled_from(["inside", "outside", "random"]))
     if where == "outside" and k == n:
         where = "random"
+    ADD, _, MUL, _ = _scalar_tables(ctx)
     rows = []
     for _ in range(draw(st.integers(0, 3))):
         row = np.zeros(n, dtype=np.int64)
         for g in code.matrix:
-            row = ctx.add_table[row, ctx.mul_table[draw(st.integers(0, q - 1)), g]]
+            row = ADD[row, MUL[draw(st.integers(0, q - 1)), g]]
         if where == "outside":
             # a codeword is fixed by its pivot entries: adding a unit vector
             # on a free column leaves the code
             free = [c for c in range(n) if c not in code.pivots]
-            row = ctx.add_table[row, np.eye(n, dtype=np.int64)[draw(st.sampled_from(free))]]
+            row = ADD[row, np.eye(n, dtype=np.int64)[draw(st.sampled_from(free))]]
         elif where == "random":
             row = np.array(draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n)))
         rows.append(row)
@@ -513,7 +538,8 @@ def test_field_matmul_matches_scalar_triple_loop(q):
     # every pair of elements, so each product of digit planes is exercised,
     # and an inner dimension of q summing all elements
     elems = np.arange(q).reshape(1, q)
-    assert np.array_equal(field_matmul(ctx, elems.T, elems), ctx.mul_table)
+    table = [[ctx.mul(a, b) for b in range(q)] for a in range(q)]
+    assert field_matmul(ctx, elems.T, elems).tolist() == table
     total = functools.reduce(ctx.add, range(q))
     assert field_matmul(ctx, np.ones((1, q), dtype=np.int64), elems.T).tolist() == [[total]]
 
@@ -609,9 +635,10 @@ def _all_codewords(ctx, matrix):
     k, n = matrix.shape
     msgs = np.array(list(itertools.product(range(ctx.q), repeat=k)), dtype=np.int64)
     msgs = msgs.reshape(ctx.q**k, k)
+    ADD, _, MUL, _ = _scalar_tables(ctx)
     acc = np.zeros((len(msgs), n), dtype=np.int64)
     for i in range(k):
-        acc = ctx.add_table[acc, ctx.mul_table[msgs[:, i : i + 1], matrix[i][None, :]]]
+        acc = ADD[acc, MUL[msgs[:, i : i + 1], matrix[i][None, :]]]
     return acc
 
 
@@ -647,13 +674,14 @@ def _codes_with_subcodes(draw):
     # a unit upper-triangular mix of a row permutation is invertible, so its
     # first s rows span an s-dimensional subcode for every s = 0 .. k
     k = code.k
+    ADD, _, MUL, _ = _scalar_tables(ctx)
     perm = draw(st.permutations(range(k)))
     mixed = []
     for i in range(k):
         row = code.matrix[perm[i]].astype(np.int64)
         for l in range(i + 1, k):
             u = draw(st.integers(0, q - 1))
-            row = ctx.add_table[row, ctx.mul_table[u, code.matrix[perm[l]]]]
+            row = ADD[row, MUL[u, code.matrix[perm[l]]]]
         mixed.append(row)
     subs = [LinearCode.from_rows(ctx, mixed[:s], n=n) for s in range(k + 1)]
     return ctx, code, subs
@@ -816,15 +844,16 @@ def test_encoding_one_is_the_identity_with_digits_one_then_zeros():
     # the minimum-weight search writes its normalised messages with symbol 1
     # first on their support and encodings 1 .. q-1 after it; that relies on
     # encoding 1 being the field's one, digits (1, 0, ..., 0)
-    from prmhull.fields import TABLE_LIMIT, field_make, prime_power
+    from prmhull.codes import TABLE_LIMIT
+    from prmhull.fields import field_make, prime_power
 
-    build = field_make.__wrapped__  # uncached: keep the tables of ~100 fields out of memory
+    build = field_make.__wrapped__  # uncached: keep ~100 fields out of the field cache
     for q in range(2, TABLE_LIMIT + 1):
         try:
             p, e = prime_power(q)
         except ValueError:
             continue
         ctx = build(p, e)
-        assert np.array_equal(ctx.mul_table[1], np.arange(q))
+        assert [ctx.mul(1, a) for a in range(q)] == list(range(q))
         assert ctx.mul(1, q - 1) == q - 1
-        assert tuple(ctx.shift_digits[0, 1]) == (1,) + (0,) * (e - 1)
+        assert tuple(ctx.digits[1]) == (1,) + (0,) * (e - 1)

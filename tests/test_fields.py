@@ -3,9 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prmhull.codes import TABLE_LIMIT, kernel_tables
 from prmhull.fields import FieldContext, field_for_size, field_make, is_prime, prime_power
 
 SMALL_SIZES = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27]
+# a field is its digit rows and its log/antilog pair, at every size
+FIELD_ATTRIBUTES = {
+    "p", "e", "q", "modulus", "_place", "digits", "generator", "exp_table", "log_table"
+}
 
 
 def test_modulus_gf4_is_the_unique_irreducible_quadratic():
@@ -162,7 +167,9 @@ def test_is_prime():
 def test_large_field_scalar_paths(q):
     """Fields above the dense-table limit still do exact scalar arithmetic."""
     ctx = field_for_size(q)
-    assert ctx.mul_table is None
+    with pytest.raises(ValueError, match="dense tables"):
+        kernel_tables(ctx)
+    assert set(vars(ctx)) == FIELD_ATTRIBUTES
     a, b = 617, 7
     assert ctx.mul(a, ctx.inv(a)) == 1
     assert ctx.pow(a, ctx.q) == a
@@ -230,9 +237,27 @@ def test_arithmetic_matches_schoolbook_reference(q):
     for a, b in pairs:
         assert ctx.mul(a, b) == _ref_mul(ctx, a, b)
         assert ctx.add(a, b) == _ref_add(ctx, a, b)
-    if ctx.shift_digits is not None:
-        for t in range(ctx.e):
-            for a in range(q):
-                x_t_a = _ref_mul(ctx, ctx.p**t, a)  # x^t is encoded as p^t
-                assert ctx.shift_digits[t, a].tolist() == _ref_digits(ctx, x_t_a)
     assert ctx.generator == next(g for g in range(1, q) if _ref_order(ctx, g) == q - 1)
+
+
+@pytest.mark.parametrize("q", [q for q in REFERENCE_SIZES if q <= TABLE_LIMIT])
+def test_kernel_tables_match_schoolbook_reference(q):
+    ctx = field_for_size(q)
+    mul, sub, shift = kernel_tables(ctx)
+    assert (mul.shape, mul.dtype, sub.shape, sub.dtype) == ((q, q), np.int64, (q, q), np.int64)
+    assert (shift.shape, shift.dtype) == ((ctx.e, q, ctx.e), np.float64)
+    if q <= 16:
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+    else:
+        rng = np.random.default_rng(q)
+        pairs = [(0, q - 1), (q - 1, 0), (q - 1, q - 1)] + rng.integers(0, q, (300, 2)).tolist()
+    for a, b in pairs:
+        assert mul[a, b] == _ref_mul(ctx, a, b)
+        assert _ref_add(ctx, int(sub[a, b]), b) == a
+    for t in range(ctx.e):
+        for a in range(q):
+            x_t_a = _ref_mul(ctx, ctx.p**t, a)  # x^t is encoded as p^t
+            assert shift[t, a].tolist() == _ref_digits(ctx, x_t_a)
+    # the tables are built once per field, and the field keeps none of them
+    assert kernel_tables(ctx) is kernel_tables(ctx)
+    assert set(vars(ctx)) == FIELD_ATTRIBUTES

@@ -85,7 +85,10 @@ def test_guard_sees_matrix_products():
     ]
 
 
-DENSE_TABLES = {"add_table", "sub_table", "mul_table", "neg_table", "inv_table", "power_table"}
+# the field keeps its digit rows and log/antilog pair; the elimination
+# kernel builds the only q x q tables itself (codes.kernel_tables)
+RETIRED_TABLES = {"add_table", "sub_table", "mul_table", "neg_table", "inv_table", "shift_digits"}
+DENSE_TABLES = {"power_table"}
 TABLE_OWNERS = {"fields.py", "codes.py"}
 
 
@@ -108,13 +111,18 @@ def _names(tree: ast.AST, names: set[str]) -> list[int]:
     return sorted(lines)
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_names_a_retired_field_table(path):
+    assert _names(ast.parse(path.read_text(), str(path)), RETIRED_TABLES) == []
+
+
 @pytest.mark.parametrize(
     "path",
     [p for p in sorted(SRC.glob("*.py")) if p.name not in TABLE_OWNERS],
     ids=lambda p: p.name,
 )
 def test_only_the_field_and_the_kernel_name_dense_tables(path):
-    # the q x q table format stays behind fields.py and the elimination kernel
+    # power_table stays behind fields.py and the elimination kernel
     assert _names(ast.parse(path.read_text(), str(path)), DENSE_TABLES) == []
 
 
@@ -125,8 +133,54 @@ def test_guard_sees_dense_table_names():
         "add_table = 1\n"
         "y = getattr(ctx, 'inv_table')\n"
         "z = ctx.exp_table[ctx.log_table]\n"
+        "w = ctx.shift_digits[0]\n"
     )
-    assert _names(ast.parse(src), DENSE_TABLES) == [1, 2, 3, 4]
+    tree = ast.parse(src)
+    assert _names(tree, RETIRED_TABLES | DENSE_TABLES) == [1, 2, 3, 4, 6]
+    assert _names(tree, RETIRED_TABLES) == [2, 3, 4, 6]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "codes.py"], ids=lambda p: p.name
+)
+def test_only_the_kernel_names_its_table_limit(path):
+    # the q <= 512 limit belongs to the kernel's tables; others refuse through kernel_tables
+    assert _names(ast.parse(path.read_text(), str(path)), {"TABLE_LIMIT"}) == []
+
+
+def _imported_modules(tree: ast.AST) -> set[str]:
+    """The last component of every module an import names, and every name
+    imported from one: `from .codes import x` and `from . import codes`
+    both name codes."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.rpartition(".")[2] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found |= {alias.name for alias in node.names}
+            if node.module:
+                found.add(node.module.rpartition(".")[2])
+    return found
+
+
+def test_fields_imports_nothing_from_codes():
+    # the field is the bottom layer: the kernel reads it, never the reverse
+    path = SRC / "fields.py"
+    assert "codes" not in _imported_modules(ast.parse(path.read_text(), str(path)))
+
+
+def test_guard_sees_imports():
+    src = (
+        "import numpy as np\n"
+        "import prmhull.codes\n"
+        "from .codes import kernel_tables\n"
+        "from . import points\n"
+        "def f():\n"
+        "    from prmhull import polynomials\n"
+    )
+    assert _imported_modules(ast.parse(src)) == {
+        "numpy", "codes", "kernel_tables", "points", "prmhull", "polynomials"
+    }
 
 
 @pytest.mark.parametrize(
