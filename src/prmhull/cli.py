@@ -139,22 +139,29 @@ def cmd_hull_euclid(args) -> int:
             }
         )
         return 0
-    report = eh.hull_report(q, d1, d2, allow_self_dual_degree=args.intersection_only)
-    basis = report["basis"]
+    basis = eh.relative_hull_basis(q, d1, d2)  # validates and sorts the degrees
+    d1, d2 = basis.d1, basis.d2
+    # at d2 = q-1 the dual of PRM_d2 is not a PRM code: no hull to read
+    if d2 == q - 1 and not args.intersection_only:
+        raise eh.DualNotPrmError(
+            f"d2 = q-1: dual is not a PRM code (q={q}); "
+            "use --intersection-only for the bare intersection or "
+            "--extended-dual for the oracle hull against the extended dual"
+        )
     record = {
         "command": "hull-euclid",
         "q": q,
-        "d1": report["d1"],
-        "d2": report["d2"],
-        "congruent": report["congruent"],
-        "hull_readable": report["hull_readable"],
-        "dimension": report["dimension"],
-        "hull_of": report["hull_of"],
+        "d1": d1,
+        "d2": d2,
+        "congruent": basis.congruent,
+        "hull_readable": d2 != q - 1,
+        "dimension": eh.relative_hull_dim(q, d1, d2),
+        "hull_of": {"code_degree": d1, "dual_partner_degree": 2 * (q - 1) - d2},
         "basis": [format_polynomial(p) for p in basis.polynomials()],
         "provenance": {"dimension": "closed_form"},
     }
     if args.verify:
-        chk = eh.verify_relative_hull(q, report["d1"], report["d2"])
+        chk = eh.verify_relative_hull(q, d1, d2)
         record["oracle_dim"] = chk.oracle_dim
         record["basis_spans"] = chk.basis_spans
         record["verified"] = chk.ok

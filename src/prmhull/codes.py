@@ -96,7 +96,9 @@ The cap makes infeasible searches an explicit error, never an estimate.
 It counts the messages of every level a search enters on every set, and
 the search raises before a level would take that count past the cap, so
 at cap 0 it builds no information set and forms no product.  A memoised
-weight whose search counted more than the cap refuses too.
+weight whose search counted more than the cap refuses too, and so does a
+refused search, kept as (None, count) in the same slot, for every cap
+below the count it refused at.
 """
 
 from __future__ import annotations
@@ -112,11 +114,20 @@ from .fields import FieldContext
 TABLE_LIMIT = 512  # the kernel's q x q tables only up to this size
 DEFAULT_WEIGHT_CAP = 20_000_000
 _MESSAGE_BLOCK = 1 << 13
+_REDUCE_BLOCK = 1 << 16  # float64 cells per reduction step of field_matmul
 _FLOAT_EXACT = 1 << 53  # float64 holds every integer below this exactly
 
 
 class EnumerationBudgetError(RuntimeError):
-    """The search would enumerate more messages than the budget allows."""
+    """The search would enumerate more messages than the budget allows;
+    `work` is the message count it refused at."""
+
+    def __init__(self, work: int, cap: int):
+        super().__init__(work, cap)  # the arguments, so that it pickles
+        self.work, self.cap = work, cap
+
+    def __str__(self) -> str:
+        return f"{self.work} messages exceed the cap {self.cap}"
 
 
 @lru_cache(maxsize=None)
@@ -184,7 +195,8 @@ class LinearCode:
         self.matrix.setflags(write=False)
         self.pivots = pivots
         self._dual: LinearCode | None = None
-        self._min_weight: tuple[int, int] | None = None  # (weight, messages counted)
+        # (weight, messages counted), or (None, count) after a refused search
+        self._min_weight: tuple[int | None, int] | None = None
 
     @classmethod
     def from_rows(cls, ctx: FieldContext, rows, n: int | None = None) -> LinearCode:
@@ -318,15 +330,21 @@ class LinearCode:
         """Exact minimum Hamming weight by Brouwer-Zimmermann search (memoised).
 
         Raises EnumerationBudgetError when the search needs more than `cap`
-        messages, also when the weight is already known.
+        messages, also when the weight is already known.  A refusal is
+        memoised too: the search does not depend on the cap, so it runs
+        again only for a cap of at least the count it refused at.
         """
         if self.k == 0:
             raise ValueError("zero code has no nonzero codeword")
-        if self._min_weight is None:
-            self._min_weight = _brouwer_zimmermann(self, cap, floor=1)
+        memo = self._min_weight
+        if memo is None or (memo[0] is None and memo[1] <= cap):
+            try:
+                self._min_weight = _brouwer_zimmermann(self, cap, floor=1)
+            except EnumerationBudgetError as exc:
+                self._min_weight = (None, exc.work)
         weight, work = self._min_weight
         if work > cap:
-            raise EnumerationBudgetError(f"{work} messages exceed the cap {cap}")
+            raise EnumerationBudgetError(work, cap)
         return weight
 
     def min_weight_excluding(
@@ -406,8 +424,12 @@ def field_matmul(ctx: FieldContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     for t in range(1, e):
         acc += np.take(shift[0, :, t], A) @ np.take(shift[t], B, axis=0).reshape(m, s * e)
     # exact below 2^53, where the rounded quotient cannot reach the next
-    # integer; several times faster than np.fmod
-    acc -= p * np.floor(acc / p)
+    # integer; several times faster than np.fmod.  Reduced a block of rows
+    # at a time, so its temporaries stay near _REDUCE_BLOCK cells
+    rows = max(1, _REDUCE_BLOCK // max(1, s * e))
+    for lo in range(0, r, rows):
+        block = acc[lo:lo + rows]
+        block -= p * np.floor(block / p)
     digits = acc.reshape(r, s, e)
     out = digits[..., e - 1]
     for t in reversed(range(e - 1)):
@@ -440,7 +462,7 @@ def _brouwer_zimmermann(
             for level in range(done + 1, w + 1):
                 work += _level_size(ctx.q, k, level)
                 if work > cap:
-                    raise EnumerationBudgetError(f"{work} messages exceed the cap {cap}")
+                    raise EnumerationBudgetError(work, cap)
                 for messages in _normalised_messages(ctx.q, k, level):
                     codewords = field_matmul(ctx, messages, gen)
                     if sub is not None:

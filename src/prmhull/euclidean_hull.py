@@ -9,8 +9,9 @@ monomials x1^(d1-a2) x2^a2 for a2 in Y = {0..min(d1-1, d2-q)}, plus one
 four-term polynomial attached to the smaller degree when q <= d1.
 
 Reading the intersection as a relative hull Hull_{C2}(C1) requires the
-dual of C2 to be another PRM code, which fails exactly at degree q-1;
-`hull_report` enforces that refusal for the CLI.
+dual of C2 to be another PRM code, which fails exactly at degree q-1:
+`hull_dim_with_dual` refuses that degree with DualNotPrmError, and the
+CLI refuses it unless asked for the bare intersection.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .polynomials import (
     evaluate_polynomials,
     overline,
 )
-from .prm import CODE_CACHE_SIZE, dim_rm, prm_code, prm_params
+from .prm import CODE_CACHE_SIZE, dim_prm, dim_rm, prm_code, prm_params
 
 
 class DualNotPrmError(ValueError):
@@ -132,11 +133,6 @@ class EuclidHullBasis:
             + len(self.congruent_tail)
         )
 
-    @property
-    def hull_readable(self) -> bool:
-        """False when d2 = q-1: the intersection then is not a relative hull."""
-        return self.d2 != self.q - 1
-
     def polynomials(self) -> list[SparsePolynomial]:
         ctx = field_for_size(self.q)
         return [SparsePolynomial.monomial(ctx, m) for m in self.part_a1] + self.past_a1()
@@ -187,11 +183,9 @@ def self_hull_basis(q: int, d: int) -> EuclidHullBasis:
 
 def self_hull_dim(q: int, d: int) -> int:
     """dim(PRM_d(2) cap PRM_d(2)^perp) across the full degree range."""
-    _validate(q, d, d)
-    if d == 2 * (q - 1):
-        return 0  # the dual is the all-ones code and 1 is not a degree-d class
-    d_perp = 2 * (q - 1) - d
-    return relative_hull_dim(q, min(d, d_perp), max(d, d_perp))
+    # at d = q-1 the dual is PRM_{q-1} plus the all-ones word, so the code
+    # lies in its dual and is its own hull
+    return dim_prm(q, d) if d == q - 1 else hull_dim_with_dual(q, d, d)
 
 
 def hull_dim_with_dual(q: int, d1: int, d2: int) -> int:
@@ -280,30 +274,3 @@ def extended_dual_hull_oracle(q: int, d1: int, d2: int) -> LinearCode:
     """Oracle-only Hull_{PRM_d2}(PRM_d1) with the true (extended) dual of PRM_d2."""
     ctx = field_for_size(q)
     return prm_code(ctx, 2, d1).relative_hull(prm_code(ctx, 2, d2))
-
-
-def hull_report(q: int, d1: int, d2: int, allow_self_dual_degree: bool = False) -> dict:
-    """Intersection report with the hull reading; refuses d2 = q-1.
-
-    At d2 = q-1 the dual of the paired code picks up the all-ones vector
-    and is no longer a PRM code, so the intersection is not the hull; pass
-    allow_self_dual_degree to get the plain intersection report anyway.
-    """
-    d1, d2 = _validate(q, d1, d2)
-    if d2 == q - 1 and not allow_self_dual_degree:
-        raise DualNotPrmError(
-            f"d2 = q-1: dual is not a PRM code (q={q}); "
-            "use --intersection-only for the bare intersection or "
-            "--extended-dual for the oracle hull against the extended dual"
-        )
-    basis = relative_hull_basis(q, d1, d2)
-    return {
-        "q": q,
-        "d1": d1,
-        "d2": d2,
-        "congruent": basis.congruent,
-        "hull_readable": basis.hull_readable,
-        "dimension": relative_hull_dim(q, d1, d2),
-        "hull_of": {"code_degree": d1, "dual_partner_degree": 2 * (q - 1) - d2},
-        "basis": basis,
-    }

@@ -7,17 +7,19 @@ construction turns one code over GF(q^2) into [[n, kappa, delta; c]] with
 c = k - dim(C cap Cperp_h) and kappa = n - 2k + c.  Every c is k minus a
 hull dimension read from the hull modules: `euclidean_hull.hull_dim_with_dual`
 for PRM pairs, `hermitian_hull.hermitian_hull_dim` and `affine_u_size` for
-the Hermitian constructions.  The generic oracle path stays available for
-arbitrary codes and for cross-checking.  Hermitian distances are emitted as
-dual-weight lower bounds; Euclidean ones are exact weight-formula values and
-the codes are pure.
+the Hermitian constructions.  `asym_from_codes` reads c and kappa for any
+pair of codes from the elimination oracle's hull, which `verify` checks the
+PRM closed forms against; it computes no distance.  Euclidean distances are
+the exact weight-formula values dz = wt(C2perp) and dx = wt(C1perp), and a
+pair that is not nested is pure; Hermitian distances are emitted as
+dual-weight lower bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .codes import DEFAULT_WEIGHT_CAP, EnumerationBudgetError, LinearCode
+from .codes import DEFAULT_WEIGHT_CAP, LinearCode
 from .euclidean_hull import hull_dim_with_dual
 from .fields import field_for_size
 from .hermitian_hull import affine_u_size, hermitian_hull_dim
@@ -45,50 +47,17 @@ class EaqeccParams:
     delta_is_bound: bool = False  # delta fields are lower bounds (>=)
     c_is_bound: bool = False  # c is an upper bound (<=); kappa follows it
     pure: bool | None = None
-    weights_omitted: bool = False
     provenance: str = "closed_form"  # closed_form | oracle
 
 
-def asym_from_codes(
-    c1: LinearCode, c2: LinearCode, weight_cap: int = DEFAULT_WEIGHT_CAP
-) -> EaqeccParams:
-    """CSS-type parameters for an arbitrary code pair; ranks exact, weights
-    enumerated only when they fit the cap (omitted with a flag otherwise)."""
-    c1._check_compatible(c2)
-    n = c1.n
-    k1, k2 = c1.k, c2.k
+def asym_from_codes(c1: LinearCode, c2: LinearCode) -> EaqeccParams:
+    """CSS-type c and kappa for an arbitrary code pair, from the oracle's
+    hull C1 cap C2perp; no distance is computed."""
+    # intersect takes the smaller Gram matrix, and c2's dual of its dual is memoised
     hull = c1.intersect(c2.dual())
-    c = k1 - hull.k
-    kappa = n - (k1 + k2) + c
-    dz = dx = wt1 = wt2 = None
-    omitted = False
-    d1 = c1.dual()
-    d2 = c2.dual()
-    if d1.k and d2.k:
-        # full-code weights first: at cap 0 they refuse before any
-        # intersection is built (an excluding search may need more work)
-        try:
-            wt1 = d1.min_weight(cap=weight_cap)
-            wt2 = d2.min_weight(cap=weight_cap)
-            dz = d1.min_weight_excluding(d1.intersect(c2), cap=weight_cap)
-            dx = d2.min_weight_excluding(d2.intersect(c1), cap=weight_cap)
-        except EnumerationBudgetError:
-            dz = dx = None
-            omitted = True
-    pure = None
-    if not omitted and dz is not None and dx is not None:
-        pure = dz == wt1 and dx == wt2
-    return EaqeccParams(
-        base_q=c1.ctx.q,
-        n=n,
-        kappa=kappa,
-        c=c,
-        delta_z=dz,
-        delta_x=dx,
-        pure=pure,
-        weights_omitted=omitted,
-        provenance="oracle",
-    )
+    c = c1.k - hull.k
+    kappa = c1.n - (c1.k + c2.k) + c
+    return EaqeccParams(base_q=c1.ctx.q, n=c1.n, kappa=kappa, c=c, provenance="oracle")
 
 
 def _check_asym_degrees(q: int, d1: int, d2: int) -> None:

@@ -135,9 +135,7 @@ def eaqecc_euclid_sweep(q: int) -> list[dict]:
             if q - 1 in (d1, d2):
                 continue
             closed = qt.prm_asym_eaqecc(q, d1, d2)
-            oracle = qt.asym_from_codes(
-                prm_code(ctx, 2, d1), prm_code(ctx, 2, d2), weight_cap=0
-            )
+            oracle = qt.asym_from_codes(prm_code(ctx, 2, d1), prm_code(ctx, 2, d2))
             ok = (closed.c, closed.kappa) == (oracle.c, oracle.kappa)
             records.append(
                 {

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from prmhull import verify
 from prmhull.cli import main
+from prmhull.euclidean_hull import relative_hull_dim
 from prmhull.points import projective_points
 
 
@@ -73,10 +74,39 @@ def test_hull_euclid_verify(capsys):
     assert rec["basis"][-1] == "x2^4 + x1^2*x2^2 + x0^2*x2^2 + x0^2*x1*x2"
 
 
-def test_hull_euclid_self_dual_degree_refused(capsys):
-    code, out, err = run_cli(capsys, "hull", "euclid", "--q", "4", "--d1", "1", "--d2", "3")
-    assert code == 2
-    assert "dual is not a PRM code" in err
+@pytest.mark.parametrize("d1, d2", [(1, 3), (3, 1)])
+def test_hull_euclid_self_dual_degree_refused(capsys, d1, d2):
+    # the degrees are sorted first, so q-1 is refused as the larger one either way
+    argv = ["hull", "euclid", "--q", "4", "--d1", str(d1), "--d2", str(d2)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert jlines(err) == [
+        {
+            "command": "hull",
+            "error": "d2 = q-1: dual is not a PRM code (q=4); use --intersection-only "
+            "for the bare intersection or --extended-dual for the oracle hull "
+            "against the extended dual",
+        }
+    ]
+
+
+def test_hull_euclid_intersection_only_reports_the_closed_form(capsys):
+    argv = ["hull", "euclid", "--q", "4", "--d1", "1", "--d2", "3", "--intersection-only"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    rec = jlines(out)[0]
+    assert rec["dimension"] == relative_hull_dim(4, 1, 3)
+    assert rec["hull_readable"] is False
+
+
+def test_hull_euclid_smaller_degree_q_minus_1_is_a_hull(capsys):
+    # d1 = q-1 with a larger d2 is still a valid hull of PRM_{q-1}
+    code, out, _ = run_cli(capsys, "hull", "euclid", "--q", "4", "--d1", "3", "--d2", "4")
+    assert code == 0
+    rec = jlines(out)[0]
+    assert rec["hull_of"] == {"code_degree": 3, "dual_partner_degree": 2}
+    assert rec["dimension"] == relative_hull_dim(4, 3, 4)
+    assert rec["hull_readable"] is True
 
 
 def test_hull_euclid_intersection_only(capsys):

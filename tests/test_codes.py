@@ -1,6 +1,7 @@
 import functools
 import gc
 import itertools
+import pickle
 import random
 import sys
 import weakref
@@ -544,6 +545,35 @@ def test_field_matmul_matches_scalar_triple_loop(q):
     assert field_matmul(ctx, np.ones((1, q), dtype=np.int64), elems.T).tolist() == [[total]]
 
 
+@pytest.mark.parametrize("block", [1, 5, 64])
+@pytest.mark.parametrize("q", [2, 4, 9, 25])
+def test_field_matmul_reduces_in_row_blocks(q, block):
+    # the reduction mod p runs over blocks of about _REDUCE_BLOCK cells, one
+    # row each when a row is larger; every block, the last one short, is reduced
+    from prmhull import codes
+
+    ctx = field_for_size(q)
+    rng = np.random.default_rng(block * q)
+    with mock.patch.object(codes, "_REDUCE_BLOCK", block):
+        for r, m, s in [(7, 5, 3), (9, 4, 1), (0, 3, 2), (3, 2, 0)]:
+            A = rng.integers(0, q, size=(r, m))
+            B = rng.integers(0, q, size=(m, s))
+            assert np.array_equal(field_matmul(ctx, A, B), _scalar_matmul(ctx, A, B))
+
+
+def test_field_matmul_product_over_several_default_blocks():
+    # 40 rows of 4,096 cells make three blocks of 16 rows at the default size;
+    # over a prime field the integer product mod p is the reference
+    from prmhull import codes
+
+    ctx = field_for_size(5)
+    rng = np.random.default_rng(5)
+    A = rng.integers(0, 5, size=(40, 6))
+    B = rng.integers(0, 5, size=(6, 4096))
+    assert 40 * 4096 > 2 * codes._REDUCE_BLOCK
+    assert np.array_equal(field_matmul(ctx, A, B), A @ B % 5)
+
+
 def test_field_matmul_refuses_products_past_float_exactness():
     # m e (p-1)^2 < 2^53 is the exactness bound; empty outer dimensions make
     # an inner dimension of up to 2^53 cost nothing to pass; at q = 2 and 3
@@ -753,6 +783,42 @@ def test_memoised_min_weight_still_refuses_over_cap():
     ):
         with pytest.raises(EnumerationBudgetError):
             call()
+
+
+def test_refused_min_weight_searches_again_only_for_a_cap_past_its_count(monkeypatch):
+    # the code of the test above: level 1 costs 3 messages per information
+    # set and the weight 4 is decided after W = 6, so cap 0 refuses at 3 and
+    # cap 3 at 6.  A refusal is kept; a cap below its count refuses with no
+    # search, one at least its count searches again
+    from prmhull import codes
+
+    ctx = field_for_size(4)
+    c = _random_code(ctx, random.Random(8), 3, 7)
+    searches = []
+    real = codes._brouwer_zimmermann
+
+    def counted(*args, **kwargs):
+        searches.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(codes, "_brouwer_zimmermann", counted)
+    for cap, message in [
+        (0, "3 messages exceed the cap 0"),
+        (0, "3 messages exceed the cap 0"),
+        (2, "3 messages exceed the cap 2"),
+        (3, "6 messages exceed the cap 3"),
+        (5, "6 messages exceed the cap 5"),
+        (3, "6 messages exceed the cap 3"),
+    ]:
+        with pytest.raises(EnumerationBudgetError, match=f"^{message}$") as refused:
+            c.min_weight(cap=cap)
+        assert refused.value.work == int(message.split()[0])
+        copy = pickle.loads(pickle.dumps(refused.value))
+        assert (str(copy), copy.work) == (message, refused.value.work)
+    assert searches == [0, 3]
+    assert c.min_weight(cap=6) == 4
+    assert c.min_weight(cap=100) == 4
+    assert searches == [0, 3, 6]
 
 
 def test_min_weight_excluding_refuses_exactly_past_its_own_count():

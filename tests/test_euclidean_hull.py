@@ -6,7 +6,6 @@ from prmhull.euclidean_hull import (
     extended_dual_hull_oracle,
     hull_dim_with_dual,
     hull_oracle,
-    hull_report,
     membership_identity,
     q_polynomial,
     relative_hull_basis,
@@ -229,17 +228,6 @@ def _span(q, polys):
 
 def test_basis_code_equals_oracle_spot():
     assert _span(9, relative_hull_basis(9, 9, 12).polynomials()) == hull_oracle(9, 9, 12)
-
-
-def test_hull_report_refuses_self_dual_degree():
-    with pytest.raises(DualNotPrmError):
-        hull_report(4, 1, 3)
-    report = hull_report(4, 1, 3, allow_self_dual_degree=True)
-    assert report["dimension"] == relative_hull_dim(4, 1, 3)
-    # d1 = q-1 with a larger d2 is still a valid hull of PRM_{q-1}
-    report = hull_report(4, 3, 4)
-    assert report["hull_of"] == {"code_degree": 3, "dual_partner_degree": 2}
-    assert report["dimension"] == relative_hull_dim(4, 3, 4)
 
 
 def test_degree_range_validation():

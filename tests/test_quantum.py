@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from prmhull.fields import field_for_size
@@ -175,9 +177,7 @@ def test_asym_from_codes_matches_closed_form():
             if d1 > d2:
                 continue
             closed = prm_asym_eaqecc(4, d1, d2)
-            oracle = asym_from_codes(
-                prm_code(ctx, 2, d1), prm_code(ctx, 2, d2), weight_cap=10**6
-            )
+            oracle = asym_from_codes(prm_code(ctx, 2, d1), prm_code(ctx, 2, d2))
             assert (oracle.c, oracle.kappa) == (closed.c, closed.kappa), (d1, d2)
             assert oracle.provenance == "oracle"
 
@@ -188,7 +188,6 @@ def test_asym_from_codes_fano():
     p = asym_from_codes(fano, fano)
     # the simplex code is contained in its dual, so no entanglement is needed
     assert p.c == 0 and p.kappa == 7 - 6 + 0
-    assert not p.weights_omitted
 
 
 def test_asym_from_codes_degenerate_full_code():
@@ -199,21 +198,12 @@ def test_asym_from_codes_degenerate_full_code():
     ctx = field_for_size(2)
     full = LinearCode.from_rows(ctx, np.eye(4, dtype=int))
     p = asym_from_codes(full, full)
-    # dual is the zero code: distances do not exist, ranks still do
+    # dual is the zero code: ranks still give c and kappa
     assert p.c == 4 and p.kappa == 0
-    assert p.delta_z is None and not p.weights_omitted
 
 
-def test_asym_from_codes_weight_budget_flag():
-    ctx = field_for_size(4)
-    p = asym_from_codes(prm_code(ctx, 2, 1), prm_code(ctx, 2, 4), weight_cap=10)
-    assert p.weights_omitted and p.delta_z is None and p.pure is None
-    assert p.c == prm_asym_eaqecc(4, 1, 4).c
-
-
-def test_asym_from_codes_zero_cap_builds_only_the_hull(monkeypatch):
-    # with no enumeration budget the weights are refused before the
-    # intersections they would exclude are built
+def test_asym_from_codes_builds_only_the_hull(monkeypatch):
+    # c and kappa need one intersection; no weight is searched for
     from prmhull.codes import LinearCode
 
     ctx = field_for_size(4)
@@ -225,10 +215,27 @@ def test_asym_from_codes_zero_cap_builds_only_the_hull(monkeypatch):
         calls.append((self, other))
         return real(self, other)
 
+    def no_weight(*_args, **_kwargs):
+        raise AssertionError("minimum weight searched")
+
     monkeypatch.setattr(LinearCode, "intersect", counting)
-    p = asym_from_codes(c1, c2, weight_cap=0)
-    assert p.weights_omitted and p.c == prm_asym_eaqecc(4, 1, 4).c
+    monkeypatch.setattr(LinearCode, "min_weight", no_weight)
+    monkeypatch.setattr(LinearCode, "min_weight_excluding", no_weight)
+    p = asym_from_codes(c1, c2)
+    assert p.c == prm_asym_eaqecc(4, 1, 4).c
+    assert (p.delta_z, p.delta_x, p.pure) == (None, None, None)
     assert calls == [(c1, c2.dual())]
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_asym_distances_are_the_dual_weights(q):
+    # dz = wt(C2perp) and dx = wt(C1perp), each weight searched on the oracle's dual
+    ctx = field_for_size(q)
+    degrees = [d for d in range(1, 2 * (q - 1)) if d != q - 1]
+    for d1, d2 in itertools.combinations_with_replacement(degrees, 2):
+        p = prm_asym_eaqecc(q, d1, d2)
+        dual_weight = {d: prm_code(ctx, 2, d).dual().min_weight() for d in (d1, d2)}
+        assert (p.delta_z, p.delta_x) == (dual_weight[d2], dual_weight[d1]), (d1, d2)
 
 
 def test_purity_probe_zero_cap_builds_no_intersection(monkeypatch):

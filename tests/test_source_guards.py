@@ -85,6 +85,52 @@ def test_guard_sees_matrix_products():
     ]
 
 
+WEIGHT_SEARCHES = {"min_weight", "min_weight_excluding"}
+
+
+def _weight_searches(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, enclosing function) of each attribute or name min_weight and
+    min_weight_excluding; "" at module level."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Attribute) and node.attr in WEIGHT_SEARCHES:
+            found.append((node.lineno, func))
+        elif isinstance(node, ast.Name) and node.id in WEIGHT_SEARCHES:
+            found.append((node.lineno, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, "")
+    return sorted(found)
+
+
+def test_only_the_purity_probe_searches_for_a_minimum_weight():
+    # every emitted distance is a closed form; the one enumeration outside
+    # the kernel is the purity probe, which a cap bounds
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "codes.py":
+            tree = ast.parse(path.read_text(), str(path))
+            callers |= {(path.name, func) for _, func in _weight_searches(tree)}
+    assert callers == {("quantum.py", "purity_probe")}
+
+
+def test_guard_sees_weight_searches():
+    src = (
+        "w = code.min_weight()\n"
+        "def f(c, s):\n"
+        "    return c.dual().min_weight_excluding(s, cap=0)\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        search = self.min_weight\n"
+        "        return min_weight(search), self._min_weight, 'min_weight'\n"
+    )
+    assert _weight_searches(ast.parse(src)) == [(1, ""), (3, "f"), (6, "g"), (7, "g")]
+
+
 # the field keeps its digit rows and log/antilog pair; the elimination
 # kernel builds the only q x q tables itself (codes.kernel_tables)
 RETIRED_TABLES = {"add_table", "sub_table", "mul_table", "neg_table", "inv_table", "shift_digits"}
