@@ -1,6 +1,6 @@
 """Exact linear algebra over GF(q): reduced row echelon form, matrix
-products, duals, relative hulls and intersections, Frobenius images and
-Hermitian duals, and minimum weight by the Brouwer-Zimmermann search.
+products, duals, relative hulls and intersections, Hermitian duals, and
+minimum weight by the Brouwer-Zimmermann search.
 
 A LinearCode is its RREF generator matrix (zero rows dropped), which is
 the canonical representative of the row space: two codes are equal iff
@@ -52,12 +52,9 @@ of x^t B read from the kernel's shift table, then one reduction mod p.
 The sums stay below m e (p-1)^2 for inner dimension m, exact while that
 is under 2^53, and a larger product raises ValueError.
 
-Frobenius x -> x^q is a field automorphism of GF(q^2) fixing 0 and 1,
-so applied entrywise to an RREF matrix it gives the RREF of the image
-code with the same pivots, with no elimination.  The Hermitian dual is
-frob(C^perp), read off the memoised dual.  The Hermitian hull needs no dual:
-C cap C^(perp h) = C cap frob(C)^perp is the relative hull of C against
-frob(C), from the Gram matrix G G^(q)T (Guenda, Jitman & Gulliver 2018).
+The Hermitian dual is the memoised dual's image under x -> x^q, entrywise:
+an automorphism of GF(q^2) fixing 0 and 1, so it keeps the RREF and its
+pivots, and no elimination runs.
 
 Membership needs no elimination either: the RREF generator G is the
 identity on its pivot columns, so R - R[:, pivots] G is zero there by
@@ -287,20 +284,14 @@ class LinearCode:
             return other.intersect(self)
         return self.relative_hull(other.dual())
 
-    def frobenius(self, base_q: int) -> LinearCode:
-        """The image under x -> x^base_q, entrywise, over GF(base_q^2).
-
-        Frobenius keeps an RREF matrix in RREF with the same pivots, so no
-        elimination runs.
-        """
+    def hermitian_dual(self, base_q: int) -> LinearCode:
+        """Dual under sum(u_i v_i^q) over GF(base_q^2): the dual's image under
+        x -> x^base_q, entrywise, which keeps its RREF and pivots."""
         ctx = self.ctx
         if ctx.q != base_q * base_q:
             raise ValueError(f"{ctx!r} is not GF({base_q}^2)")
-        return LinearCode(ctx, self.n, ctx.power_table(base_q)[self.matrix], self.pivots)
-
-    def hermitian_dual(self, base_q: int) -> LinearCode:
-        """Dual under sum(u_i v_i^q) over GF(base_q^2): Frobenius of the dual."""
-        return self.dual().frobenius(base_q)
+        dual = self.dual()
+        return LinearCode(ctx, self.n, ctx.power_table(base_q)[dual.matrix], dual.pivots)
 
     # -- membership ---------------------------------------------------------------
 

@@ -17,6 +17,11 @@ hull in the remaining range, giving a dimension lower bound (observed
 tight wherever checked).  |T| and |U| also have q-adic counting formulas,
 implemented alongside the literal enumerations.
 
+The oracles work in coefficient space: the monomials of PRM_d, d <= q^2,
+are independent on P^2(GF(q^2)) (Mercier & Rolland 1998), and RM_d's on
+A^2, so the hull is {m S : m S S^(q)T = 0}, S and S^(q) the evaluations of
+the monomials and the q-scaled ones: a k x k Gram matrix's left null space.
+
 All entry points take the base q; the codes live over GF(q^2).
 """
 
@@ -26,20 +31,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import LinearCode, rref
+from .codes import LinearCode, _null_space, field_matmul, rref
 from .fields import field_for_size
-from .points import projective_points
+from .points import PointSet, affine_points, projective_points
 from .polynomials import (
     Monomial,
     SparsePolynomial,
     basis_a1,
     basis_a2,
     basis_ad,
+    coefficient_rows,
     evaluate_monomials,
-    evaluate_polynomials,
     overline,
 )
-from .prm import binom, dim_prm, dim_rm, prm_code, rm_code
+from .prm import binom, bounded_monomials, degree_monomials, dim_prm, dim_rm
 
 
 def _check_base(q: int, *degrees: int, lo: int = 0, hi: int = 0) -> int:
@@ -97,9 +102,11 @@ def affine_hermitian_hull_dim(q: int, d: int) -> int:
 
 
 def affine_hull_oracle(q: int, d1: int, d2: int) -> LinearCode:
-    """RM_d1 cap RM_d2^herm = RM_d1 cap frob(RM_d2)^perp over GF(q^2)."""
-    ctx = field_for_size(q * q)
-    return rm_code(ctx, 2, d1).relative_hull(rm_code(ctx, 2, d2).frobenius(q))
+    """RM_d1 cap RM_d2^herm over GF(q^2), as coefficient rows on
+    bounded_monomials(2, d1, q^2-1)."""
+    Q = _check_base(q, d1, d2, hi=2 * (q * q - 1))
+    monos1, monos2 = (bounded_monomials(2, d, Q - 1) for d in (d1, d2))
+    return _gram_null_space(q, affine_points(field_for_size(Q), 2), monos1, monos2)
 
 
 # -- the sets U, T, V, W ---------------------------------------------------------
@@ -338,12 +345,21 @@ def hermitian_hull_basis(q: int, d: int) -> HermHullBasis:
 
 
 def hermitian_hull_oracle(q: int, d: int) -> LinearCode:
-    """C cap C^herm = C cap frob(C)^perp for C = PRM_d(q^2,2): the null space
-    of the Gram matrix G G^(q)T, with no dual built."""
-    Q = _check_base(q)
-    ctx = field_for_size(Q)
-    code = prm_code(ctx, 2, d)
-    return code.relative_hull(code.frobenius(q))
+    """C cap C^herm for C = PRM_d(q^2,2), d in [1, q^2-2], as coefficient
+    rows on degree_monomials(3, d)."""
+    Q = _check_base(q, d, lo=1, hi=q * q - 2)
+    monos = degree_monomials(3, d)
+    return _gram_null_space(q, projective_points(field_for_size(Q), 2), monos, monos)
+
+
+def _gram_null_space(q: int, pts: PointSet, monos1: list, monos2: list) -> LinearCode:
+    """{m : m S1 S2^(q)T = 0}, the left null space of the Gram matrix; S1 and
+    S2^(q) evaluate monos1 and the q-scaled monos2 at the points."""
+    ctx = pts.ctx
+    S1 = evaluate_monomials(ctx, pts, monos1)
+    S2q = evaluate_monomials(ctx, pts, [tuple(q * e for e in m) for m in monos2])
+    null, piv = _null_space(ctx, field_matmul(ctx, S1, S2q.T).T)
+    return LinearCode(ctx, len(monos1), null, piv)
 
 
 def power_span_code(q: int, degree: int) -> LinearCode:
@@ -352,12 +368,9 @@ def power_span_code(q: int, degree: int) -> LinearCode:
     For degree dperp with d < q^2-1 this equals the Hermitian dual of
     PRM_d; at d = q^2-1 it is the space the basis statements are about.
     """
-    Q = _check_base(q)
-    ctx = field_for_size(Q)
-    pts = projective_points(ctx, 2)
-    a1, a2m, a3 = basis_ad(Q, degree)
-    monos = [tuple(q * e for e in m) for m in a1 + a2m + a3]
-    return LinearCode.from_rows(ctx, evaluate_monomials(ctx, pts, monos))
+    ctx = field_for_size(_check_base(q))
+    monos = [tuple(q * e for e in m) for part in basis_ad(ctx.q, degree) for m in part]
+    return LinearCode.from_rows(ctx, evaluate_monomials(ctx, projective_points(ctx, 2), monos))
 
 
 @dataclass(frozen=True)
@@ -379,37 +392,30 @@ class HermHullCheck:
             return False
         if self.exact:
             return self.closed_form == self.oracle_dim and self.spans_or_bound_tight
-        return self.closed_form <= self.oracle_dim
+        # a bound is the size of a basis found independent and contained
+        return self.closed_form == self.basis_size <= self.oracle_dim
 
 
 def verify_hermitian_hull(q: int, d: int) -> HermHullCheck:
     """Closed form vs hull oracle; tightness is reported, not assumed.
 
-    The basis rows B are reduced against the oracle O: the residual is zero
-    iff B lies in O.  B is [B_P | residual] up to an invertible column
-    operation (B_P its entries on O's pivots), so its rank comes from an
-    elimination of B_P and the residual's nonzero columns, none of length n
-    when B is contained; span(B) = O iff B lies in O with rank dim O.
+    B, the basis's coefficient rows on the oracle's monomials, is reduced
+    against the oracle O: the residual is zero iff B lies in O.  B is
+    [B_P | residual] up to an invertible column operation (B_P its entries
+    on O's pivots), so its rank comes from an elimination of B_P and the
+    residual's nonzero columns; span(B) = O iff B lies in O with rank dim O.
     """
-    Q = _check_base(q)
-    ctx = field_for_size(Q)
     basis = hermitian_hull_basis(q, d)
     dim = hermitian_hull_dim(q, d)
     oracle = hermitian_hull_oracle(q, d)
-    rows = evaluate_polynomials(ctx, projective_points(ctx, 2), basis.elements())
+    rows = coefficient_rows(basis.elements(), degree_monomials(3, d))
     residual = oracle._reduce_rows(rows)
     contained = not residual.any()
     coords = np.hstack([rows[:, list(oracle.pivots)], residual[:, residual.any(axis=0)]])
-    rank = len(rref(ctx, coords)[1])
+    rank = len(rref(oracle.ctx, coords)[1])
     return HermHullCheck(
-        q,
-        d,
-        basis.mode,
-        closed_form=dim.value,
-        exact=dim.exact,
-        basis_size=basis.size,
-        oracle_dim=oracle.k,
-        independent=rank == basis.size,
-        contained=contained,
+        q, d, basis.mode,
+        closed_form=dim.value, exact=dim.exact, basis_size=basis.size, oracle_dim=oracle.k,
+        independent=rank == basis.size, contained=contained,
         spans_or_bound_tight=contained and rank == oracle.k,
     )

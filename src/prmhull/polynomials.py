@@ -186,12 +186,16 @@ def evaluate_polynomials(ctx: FieldContext, pts: PointSet, polys: list) -> np.nd
         if f.ctx != ctx:
             raise ValueError("polynomial over a different field")
     monos = list(dict.fromkeys(m for f in polys for m in f.terms))
-    index = {m: j for j, m in enumerate(monos)}
-    coeffs = np.zeros((len(polys), len(monos)), dtype=np.int64)
+    return field_matmul(ctx, coefficient_rows(polys, monos), evaluate_monomials(ctx, pts, monos))
+
+
+def coefficient_rows(polys: list, monomials: list) -> np.ndarray:
+    """Each polynomial's coefficients on `monomials`, which hold all its terms."""
+    index = {m: j for j, m in enumerate(monomials)}
+    rows = np.zeros((len(polys), len(monomials)), dtype=np.int64)
     for i, f in enumerate(polys):
-        for mono, c in f.terms.items():
-            coeffs[i, index[mono]] = c
-    return field_matmul(ctx, coeffs, evaluate_monomials(ctx, pts, monos))
+        rows[i, [index[m] for m in f.terms]] = list(f.terms.values())
+    return rows
 
 
 def evaluate_monomials(ctx: FieldContext, pts: PointSet, monomials: list) -> np.ndarray:

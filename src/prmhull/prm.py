@@ -25,7 +25,7 @@ from .polynomials import evaluate_monomials, grlex_key
 
 
 # Each cached code keeps its memoised dual alive, so the code caches are
-# bounded.  `verify all` builds 74 PRM and 24 RM codes; it evicts none.
+# bounded.  `verify all` builds 60 PRM codes and no RM code; it evicts none.
 CODE_CACHE_SIZE = 128
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import errno
 import io
 import json
@@ -332,6 +333,67 @@ def test_verify_kappa_identity_failure_fails_the_run(capsys, monkeypatch):
     summary = recs[-1]
     assert summary["status"] == "fail"
     assert summary["failures"] == len(herm)
+
+
+def _plant(monkeypatch, name, fault):
+    """Replace hermitian_hull.<name> by fault(real result), in the forked workers too."""
+    from prmhull import hermitian_hull
+
+    real = getattr(hermitian_hull, name)
+    monkeypatch.setattr(hermitian_hull, name, lambda q, d: fault(real(q, d)))
+    monkeypatch.setattr(verify, "available_cpus", lambda: 2)
+
+
+@pytest.mark.parametrize(
+    "argv, name, fault",
+    [
+        (
+            ("hermitian", "--q", "5"),
+            "hermitian_hull_dim",
+            lambda dim: dataclasses.replace(dim, value=dim.value + 1) if dim.exact else dim,
+        ),
+        # a bound below the hull dimension is still a bound, but not the basis size
+        (
+            ("hermitian", "--q", "5"),
+            "hermitian_hull_dim",
+            lambda dim: dim if dim.exact else dataclasses.replace(dim, value=dim.value - 1),
+        ),
+        (
+            ("affine", "--q", "4"),
+            "affine_u_size",
+            lambda u: dataclasses.replace(u, total=u.total + 1),
+        ),
+    ],
+    ids=["exact-plus-1", "bound-minus-1", "affine-plus-1"],
+)
+def test_verify_fails_a_planted_closed_form_fault(capsys, monkeypatch, argv, name, fault):
+    _plant(monkeypatch, name, fault)
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    assert code == 1
+    recs = jlines(out)
+    assert any(r["status"] == "fail" for r in recs[:-1])
+    assert recs[-1]["status"] == "fail"
+
+
+def test_verify_affine_self_orthogonality_reads_the_oracle(capsys, monkeypatch):
+    # an oracle that calls every RM code its own hull fails exactly the
+    # degrees past the self-orthogonality boundary
+    from types import SimpleNamespace
+
+    from prmhull import hermitian_hull
+    from prmhull.prm import dim_rm
+
+    def whole(q, d1, d2):
+        return SimpleNamespace(k=dim_rm(q * q, d1))
+
+    monkeypatch.setattr(hermitian_hull, "affine_hull_oracle", whole)
+    monkeypatch.setattr(verify, "available_cpus", lambda: 2)
+    code, out, _ = run_cli(capsys, "verify", "affine", "--q", "3")
+    assert code == 1
+    recs = [r for r in jlines(out) if r["check"] == "affine-self-orthogonal-boundary"]
+    assert recs and all(r["self_orthogonal"] for r in recs)
+    failed = [r["d"] for r in recs if r["status"] == "fail"]
+    assert failed and failed == [r["d"] for r in recs if not r["expected"]]
 
 
 def test_verify_reference_table_without_rows_for_the_fields_is_info(capsys, goldens_dir):

@@ -441,7 +441,8 @@ def test_relative_hull_matches_whole_row_reference(case):
     if ctx.q in (4, 9, 16):
         base_q = ctx.p ** (ctx.e // 2)
         for c in (c1, c2):
-            assert c.relative_hull(c.frobenius(base_q)) == c.intersect(c.hermitian_dual(base_q))
+            frob = LinearCode.from_rows(ctx, ctx.power_table(base_q)[c.matrix], n=n)
+            assert c.relative_hull(frob) == c.intersect(c.hermitian_dual(base_q))
 
 
 @st.composite

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from prmhull.codes import LinearCode
+from prmhull import codes, hermitian_hull
+from prmhull.codes import LinearCode, field_matmul
 from prmhull.fields import field_for_size
 from prmhull.hermitian_hull import (
     HermHullDim,
@@ -27,7 +29,7 @@ from prmhull.hermitian_hull import (
     w_companion,
     w_indices,
 )
-from prmhull.points import projective_points
+from prmhull.points import affine_points, projective_points
 from prmhull.polynomials import (
     SparsePolynomial,
     basis_a1,
@@ -36,7 +38,44 @@ from prmhull.polynomials import (
     format_monomial,
     format_polynomial,
 )
-from prmhull.prm import degree_monomials, prm_code, rm_code
+from prmhull.prm import bounded_monomials, degree_monomials, prm_code, rm_code
+
+
+def _scaled(q, monos):
+    return [tuple(q * e for e in m) for m in monos]
+
+
+def _reference_hull(q, d):
+    """The evaluation-space Hermitian hull: PRM_d against the code of the
+    q-th powers of its monomial evaluations."""
+    ctx = field_for_size(q * q)
+    power = evaluate_monomials(ctx, projective_points(ctx, 2), _scaled(q, degree_monomials(3, d)))
+    return prm_code(ctx, 2, d).relative_hull(LinearCode.from_rows(ctx, power))
+
+
+def _reference_affine_hull(q, d1, d2):
+    """The evaluation-space RM_d1 cap RM_d2^herm, likewise."""
+    ctx = field_for_size(q * q)
+    monos = _scaled(q, bounded_monomials(2, d2, ctx.q - 1))
+    power = evaluate_monomials(ctx, affine_points(ctx, 2), monos)
+    return rm_code(ctx, 2, d1).relative_hull(LinearCode.from_rows(ctx, power))
+
+
+def _evaluated(oracle, pts, monos):
+    """The code of the oracle's coefficient rows evaluated at the points."""
+    ctx = oracle.ctx
+    rows = field_matmul(ctx, oracle.matrix, evaluate_monomials(ctx, pts, monos))
+    return LinearCode.from_rows(ctx, rows, n=len(pts))
+
+
+def _hermitian_evaluated(q, d):
+    pts = projective_points(field_for_size(q * q), 2)
+    return _evaluated(hermitian_hull_oracle(q, d), pts, degree_monomials(3, d))
+
+
+def _affine_evaluated(q, d1, d2):
+    pts = affine_points(field_for_size(q * q), 2)
+    return _evaluated(affine_hull_oracle(q, d1, d2), pts, bounded_monomials(2, d1, q * q - 1))
 
 
 def test_qadic_expansions():
@@ -221,9 +260,65 @@ def test_basis_spans_power_space_even_at_top_degree(q):
 def test_corner_coordinate_obstruction(q):
     """For d <= 2(q-1) the hull reaches the last coordinate iff d = 0 mod q-1."""
     for d in range(1, 2 * (q - 1) + 1):
-        oracle = hermitian_hull_oracle(q, d)
-        has = bool(oracle.matrix[:, -1].any()) if oracle.k else False
+        hull = _hermitian_evaluated(q, d)
+        assert hull == _reference_hull(q, d), (q, d)
+        has = bool(hull.matrix[:, -1].any()) if hull.k else False
         assert has == (d % (q - 1) == 0), (q, d)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_coefficient_oracles_match_the_evaluation_space_reference(q):
+    Q = q * q
+    for d in range(1, Q - 1):
+        assert _hermitian_evaluated(q, d) == _reference_hull(q, d), (q, d)
+    for d2 in range(0, 2 * (Q - 1) + 1):
+        for d1 in sorted({max(d2 - 1, 0), d2}):
+            assert _affine_evaluated(q, d1, d2) == _reference_affine_hull(q, d1, d2), (q, d1, d2)
+
+
+def _sigma(Q, j):
+    """sum over y in GF(Q) of y^j, an element of the prime field: -1 when
+    j > 0 and Q-1 divides j, else 0 (the j = 0 sum is Q = 0)."""
+    return np.where((j > 0) & (j % (Q - 1) == 0), -1, 0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_gram_matrix_equals_power_sums(q, monkeypatch):
+    """The oracle's Gram entry for monomials a, b is the sum of x^e, e = a + q b,
+    over the points: with s = _sigma, over the charts (1, y, z), (0, 1, z) and
+    (0, 0, 1) of the plane s(e1)s(e2) + [e0 = 0]s(e2) + [e0 = e1 = 0], and
+    over A^2 s(e1)s(e2)."""
+    Q = q * q
+    p = field_for_size(Q).p
+    grams = []
+
+    def capture(ctx, M):
+        grams.append(np.array(M).T)
+        return codes._null_space(ctx, M)
+
+    monkeypatch.setattr(hermitian_hull, "_null_space", capture)
+    for d in range(1, Q - 1):
+        hermitian_hull_oracle(q, d)
+        monos = np.array(degree_monomials(3, d))
+        e = monos[:, None, :] + q * monos[None, :, :]
+        s1, s2 = _sigma(Q, e[..., 1]), _sigma(Q, e[..., 2])
+        x0_zero = e[..., 0] == 0
+        sums = s1 * s2 + x0_zero * s2 + (x0_zero & (e[..., 1] == 0))
+        assert (grams.pop() == sums % p).all(), (q, d)
+    for d in range(0, 2 * (Q - 1) + 1):
+        affine_hull_oracle(q, d, d)
+        monos = np.array(bounded_monomials(2, d, Q - 1))
+        e = monos[:, None, :] + q * monos[None, :, :]
+        sums = _sigma(Q, e[..., 0]) * _sigma(Q, e[..., 1])
+        assert (grams.pop() == sums % p).all(), (q, d)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_hermitian_oracle_refuses_degrees_outside_its_range(q):
+    # the range of hermitian_hull_dim; the monomials are independent up to q^2
+    for d in (0, q * q - 1):
+        with pytest.raises(ValueError):
+            hermitian_hull_oracle(q, d)
 
 
 def test_affine_dim_examples():
@@ -241,6 +336,8 @@ def test_affine_inclusion_boundary_oracle(q):
         code = rm_code(ctx, 2, d)
         included = code.is_subcode_of(code.hermitian_dual(q))
         assert included == (d <= 2 * (q - 1) - 1), (q, d)
+        # the code is its own hull exactly when the Gram matrix is zero
+        assert (affine_hull_oracle(q, d, d).k == code.k) == included, (q, d)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -266,15 +363,16 @@ def test_relative_hull_oracles_match_intersections_with_duals(q):
     ctx = field_for_size(Q)
     for d in range(1, Q - 1):
         code = prm_code(ctx, 2, d)
-        assert hermitian_hull_oracle(q, d) == code.intersect(code.hermitian_dual(q)), (q, d)
+        assert _hermitian_evaluated(q, d) == code.intersect(code.hermitian_dual(q)), (q, d)
     for d1 in range(0, 2 * (Q - 1) + 1, 3):
         for d2 in range(0, 2 * (Q - 1) + 1, 2):
             expected = rm_code(ctx, 2, d1).intersect(rm_code(ctx, 2, d2).hermitian_dual(q))
-            assert affine_hull_oracle(q, d1, d2) == expected, (q, d1, d2)
+            assert _affine_evaluated(q, d1, d2) == expected, (q, d1, d2)
 
 
 def test_hermitian_oracles_build_no_dual(monkeypatch):
     ctx = field_for_size(16)
+    pts = projective_points(ctx, 2)
     expected = []
     for d in range(1, 15):
         code = prm_code(ctx, 2, d)
@@ -283,27 +381,40 @@ def test_hermitian_oracles_build_no_dual(monkeypatch):
     def no_dual(self):
         raise AssertionError("LinearCode.dual called")
 
-    monkeypatch.setattr(LinearCode, "dual", no_dual)
-    assert [hermitian_hull_oracle(4, d) for d in range(1, 15)] == expected
-    assert affine_hull_oracle(4, 5, 5).k == affine_hermitian_hull_dim(4, 5)
+    real_rref = codes.rref
+
+    def short_rref(ctx, rows):
+        # A^2 has 256 points, P^2 273: no elimination as long as either
+        assert np.shape(rows)[1] < 256, "an elimination of length n"
+        return real_rref(ctx, rows)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(LinearCode, "dual", no_dual)
+        patch.setattr(codes, "rref", short_rref)
+        patch.setattr(hermitian_hull, "rref", short_rref)
+        oracles = [hermitian_hull_oracle(4, d) for d in range(1, 15)]
+        checks = [verify_hermitian_hull(4, d) for d in range(1, 15)]
+        affine = affine_hull_oracle(4, 5, 5)
+    evaluated = [_evaluated(o, pts, degree_monomials(3, d)) for d, o in enumerate(oracles, 1)]
+    assert evaluated == expected
+    assert all(chk.ok for chk in checks)
+    assert affine.k == affine_hermitian_hull_dim(4, 5)
 
 
 @pytest.mark.parametrize("q, d", [(3, 3), (3, 7), (4, 5), (4, 7)])
 def test_coordinate_check_refuses_broken_bases(q, d, monkeypatch):
     from dataclasses import replace
 
-    from prmhull import hermitian_hull
-
     Q = q * q
     ctx = field_for_size(Q)
     pts = projective_points(ctx, 2)
-    oracle = hermitian_hull_oracle(q, d)
+    reference = _reference_hull(q, d)
     basis = hermitian_hull_basis(q, d)
     first = basis.set_u[0]
     outside = next(
         m
         for m in degree_monomials(3, d)
-        if not oracle.contains(evaluate_monomials(ctx, pts, [m])[0])
+        if not reference.contains(evaluate_monomials(ctx, pts, [m])[0])
     )
     broken = {
         "U monomial dropped": replace(basis, set_u=basis.set_u[1:]),
@@ -313,8 +424,9 @@ def test_coordinate_check_refuses_broken_bases(q, d, monkeypatch):
     for fault, b in broken.items():
         monkeypatch.setattr(hermitian_hull, "hermitian_hull_basis", lambda *_: b)
         chk = verify_hermitian_hull(q, d)
+        assert chk.oracle_dim == reference.k, fault
         # what a length-n elimination of the basis rows says
         span = LinearCode.from_rows(ctx, evaluate_polynomials(ctx, pts, b.elements()))
-        expected = (span.k == b.size, span.is_subcode_of(oracle), span == oracle)
+        expected = (span.k == b.size, span.is_subcode_of(reference), span == reference)
         assert (chk.independent, chk.contained, chk.spans_or_bound_tight) == expected, fault
         assert not all(expected), fault
