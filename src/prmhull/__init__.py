@@ -12,6 +12,7 @@ from .euclidean_hull import (
     self_hull_basis,
     self_hull_dim,
     verify_relative_hull,
+    verify_relative_hulls,
 )
 from .fields import FieldContext, field_for_size, field_make
 from .hermitian_hull import (

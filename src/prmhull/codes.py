@@ -16,6 +16,10 @@ larger fields.  The matrix is stored read-only as uint16, which holds
 every encoding below that limit; `rref` copies its input to int64 and
 eliminates there, each pivot step touching only the columns from the
 pivot on (the rows below the pivot row are already zero to its left).
+A step reads `sub` by one take from the flattened table, sub[a, b] at
+a q + b, which numpy runs several times faster than indexing with two
+arrays, and one search skips a whole run of columns that are zero below
+the current row.
 
 A code's dual is computed once and kept in its `_dual` slot.  The memo
 points one way only: a dual never refers back to the code it came from,
@@ -50,7 +54,10 @@ its Gram matrix is k1 x (n-k2), the smaller of the two choices.
 planes A_t of A: one float64 BLAS matmul per plane, against the digits
 of x^t B read from the kernel's shift table, then one reduction mod p.
 The sums stay below m e (p-1)^2 for inner dimension m, exact while that
-is under 2^53, and a larger product raises ValueError.
+is under 2^53, and a larger product raises ValueError.  The product is
+formed one column block of B at a time, so that the digit operand of
+x^t B holds at most OPERAND_BLOCK cells (2 MB), or as many as A has when
+that is more: a narrower block would leave the matmul bound by reading A.
 
 The Hermitian dual is the memoised dual's image under x -> x^q, entrywise:
 an automorphism of GF(q^2) fixing 0 and 1, so it keeps the RREF and its
@@ -112,6 +119,7 @@ TABLE_LIMIT = 512  # the kernel's q x q tables only up to this size
 DEFAULT_WEIGHT_CAP = 20_000_000
 _MESSAGE_BLOCK = 1 << 13
 _REDUCE_BLOCK = 1 << 16  # float64 cells per reduction step of field_matmul
+OPERAND_BLOCK = 1 << 18  # float64 cells of B's digit operand per block of field_matmul
 _FLOAT_EXACT = 1 << 53  # float64 holds every integer below this exactly
 
 
@@ -151,18 +159,22 @@ def kernel_tables(ctx: FieldContext) -> tuple[np.ndarray, np.ndarray, np.ndarray
 def rref(ctx: FieldContext, rows: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns; zero rows dropped."""
     MUL, SUB, _ = kernel_tables(ctx)
+    SUB, q = SUB.ravel(), ctx.q  # SUB[a, b] is SUB.take(a q + b): one flat take
     M = np.array(rows, dtype=np.int64)
     if M.ndim != 2:
         raise ValueError("expected a 2-d array of encodings")
     nrows, ncols = M.shape
-    r = 0
+    r = c = 0
     pivots = []
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(M[r:, c])[0]
+    while r < nrows and c < ncols:
+        nz = M[r:, c].nonzero()[0]
         if nz.size == 0:
-            continue
+            # one search skips the whole run of columns that are zero below row r
+            live = M[r:, c:].any(axis=0).nonzero()[0]
+            if live.size == 0:
+                break
+            c += int(live[0])
+            nz = M[r:, c].nonzero()[0]
         # rows r.. are zero left of column c, so row operations with the
         # pivot row change only columns c..
         pr = r + int(nz[0])
@@ -172,11 +184,12 @@ def rref(ctx: FieldContext, rows: np.ndarray) -> tuple[np.ndarray, tuple[int, ..
             M[r, c:] = MUL[ctx.inv(int(M[r, c])), M[r, c:]]
         col = M[:, c].copy()
         col[r] = 0
-        hits = np.nonzero(col)[0]
+        hits = col.nonzero()[0]
         if hits.size:
-            M[hits, c:] = SUB[M[hits, c:], MUL[col[hits][:, None], M[r, c:][None, :]]]
+            M[hits, c:] = SUB.take(M[hits, c:] * q + MUL[:, M[r, c:]][col[hits]])
         pivots.append(c)
         r += 1
+        c += 1
     return M[:r], tuple(pivots)
 
 
@@ -266,7 +279,7 @@ class LinearCode:
         gram = field_matmul(ctx, self.matrix[:, free2], other.matrix[:, free2].T)
         # plus G1 on G2's pivots: a + b = a - (0 - b)
         _, sub, _ = kernel_tables(ctx)
-        gram = sub[gram, sub[0, self.matrix[:, list(other.pivots)]]]
+        gram = sub.ravel().take(gram * ctx.q + sub[0].take(self.matrix[:, list(other.pivots)]))
         null, null_piv = _null_space(ctx, gram.T)
         # N and G1 are both in RREF, so N G1 is too, with pivots G1's at N's;
         # G1 is the identity on its pivot columns, where N G1 is N itself
@@ -303,7 +316,8 @@ class LinearCode:
         is_free = _free_columns(self.n, self.pivots)
         coef = R[:, list(self.pivots)]
         _, sub, _ = kernel_tables(self.ctx)
-        return sub[R[:, is_free], field_matmul(self.ctx, coef, self.matrix[:, is_free])]
+        prod = field_matmul(self.ctx, coef, self.matrix[:, is_free])
+        return sub.ravel().take(R[:, is_free] * self.ctx.q + prod)
 
     def contains(self, vector) -> bool:
         v = _encodings(self.ctx, vector).reshape(1, -1)
@@ -398,9 +412,12 @@ def field_matmul(ctx: FieldContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
     With x the field's polynomial variable and A_t the e GF(p) digit planes
     of A, A B = sum_t A_t (x^t B): one float64 matmul per plane, against
-    the digits of x^t B from the kernel's shift table side by side (m x s e).
-    The sums are integers below m e (p-1)^2, exact while that is under
-    2^53, which is checked; one reduction mod p and a recombination end it.
+    the digits of x^t B from the kernel's shift table side by side.  The
+    sums are integers below m e (p-1)^2, exact while that is under 2^53,
+    which is checked; one reduction mod p and a recombination end it.  The
+    product is formed one column block of B at a time, so that the digit
+    operand (m x s_b e) holds at most OPERAND_BLOCK cells, or as many as
+    A has when that is more, and at least one column.
     """
     _, _, shift = kernel_tables(ctx)
     A, B = np.asarray(A), np.asarray(B)
@@ -410,22 +427,30 @@ def field_matmul(ctx: FieldContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     p, e = ctx.p, ctx.e
     if m * e * (p - 1) ** 2 >= _FLOAT_EXACT:
         raise ValueError(f"inner dimension {m} is too large for an exact product over {ctx!r}")
-    # A_t is the plain digits at shift 0, read one plane at a time to keep peak RSS down
-    acc = np.take(shift[0, :, 0], A) @ np.take(shift[0], B, axis=0).reshape(m, s * e)
-    for t in range(1, e):
-        acc += np.take(shift[0, :, t], A) @ np.take(shift[t], B, axis=0).reshape(m, s * e)
-    # exact below 2^53, where the rounded quotient cannot reach the next
-    # integer; several times faster than np.fmod.  Reduced a block of rows
-    # at a time, so its temporaries stay near _REDUCE_BLOCK cells
-    rows = max(1, _REDUCE_BLOCK // max(1, s * e))
-    for lo in range(0, r, rows):
-        block = acc[lo:lo + rows]
-        block -= p * np.floor(block / p)
-    digits = acc.reshape(r, s, e)
-    out = digits[..., e - 1]
-    for t in reversed(range(e - 1)):
-        out = out * p + digits[..., t]
-    return out.astype(np.int64)
+    out = np.empty((r, s), dtype=np.int64)
+    # a block of fewer digit columns than A has rows would leave the matmul
+    # bound by reading A, so a block may also be as large as A
+    width = max(1, max(OPERAND_BLOCK, r * m) // max(1, m * e))
+    for lo in range(0, s, width):
+        Bb = B[:, lo:lo + width]
+        sb = Bb.shape[1]
+        # A_t is the plain digits at shift 0, read one plane at a time to keep peak RSS down
+        acc = np.take(shift[0, :, 0], A) @ np.take(shift[0], Bb, axis=0).reshape(m, sb * e)
+        for t in range(1, e):
+            acc += np.take(shift[0, :, t], A) @ np.take(shift[t], Bb, axis=0).reshape(m, sb * e)
+        # exact below 2^53, where the rounded quotient cannot reach the next
+        # integer; several times faster than np.fmod.  Reduced a block of rows
+        # at a time, so its temporaries stay near _REDUCE_BLOCK cells
+        rows = max(1, _REDUCE_BLOCK // max(1, sb * e))
+        for top in range(0, r, rows):
+            block = acc[top:top + rows]
+            block -= p * np.floor(block / p)
+        digits = acc.reshape(r, sb, e)
+        value = digits[..., e - 1]
+        for t in reversed(range(e - 1)):
+            value = value * p + digits[..., t]
+        out[:, lo:lo + sb] = value
+    return out
 
 
 def _brouwer_zimmermann(

@@ -12,16 +12,26 @@ Reading the intersection as a relative hull Hull_{C2}(C1) requires the
 dual of C2 to be another PRM code, which fails exactly at degree q-1:
 `hull_dim_with_dual` refuses that degree with DualNotPrmError, and the
 CLI refuses it unless asked for the bare intersection.
+
+`verify_relative_hulls` checks the bases of one d1 against every partner
+d2 at once, with no intersection built: dim(C1 cap C2) = k1 - rank(G1 H2^T)
+and B lies in C1 cap C2 iff B lies in C1 and B H2^T = 0, for H2 the
+memoised dual of C2.  The partners that share one A_1 part share its
+evaluations and reductions, and their H2^T are stacked into products of
+at most OPERAND_BLOCK digit cells, the block budget of `field_matmul`.
+`hull_oracle` builds the intersection itself; the tests take it as the
+reference.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .codes import LinearCode, rref
+from .codes import OPERAND_BLOCK, LinearCode, field_matmul, rref
 from .fields import field_for_size
 from .points import projective_points
 from .polynomials import (
@@ -243,31 +253,100 @@ def _monomial_span(q: int, monomials: tuple[Monomial, ...]) -> LinearCode:
 
 
 def verify_relative_hull(q: int, d1: int, d2: int) -> HullCheck:
-    """Closed form vs oracle: dimensions equal and the basis spans exactly.
-
-    span(B) = oracle iff B lies in the oracle and rank B = dim oracle.  B is
-    A_1 plus at most q rows R, so rank B = dim span(A_1) + rank of R reduced
-    against span(A_1), and containment is one reduction of span(A_1) and R
-    against the oracle: no elimination of length n runs past the memoised
-    span of A_1.
-    """
+    """Closed form vs oracle for one pair: `verify_relative_hulls` with one partner."""
     d1, d2 = _validate(q, d1, d2)
+    return verify_relative_hulls(q, d1, [d2])[0]
+
+
+def verify_relative_hulls(q: int, d1: int, d2s) -> list[HullCheck]:
+    """Closed form vs oracle for PRM_d1 cap PRM_d2 at each partner d2 >= d1,
+    in order: the dimensions are equal and the basis B spans exactly.
+
+    With G1 the generator of C1 = PRM_d1 and H2 the memoised dual of
+    C2 = PRM_d2, no intersection is built:
+    - dim(C1 cap C2) = k1 - rank(G1 H2^T), the Gram matrix that
+      `LinearCode.relative_hull` forms;
+    - B lies in C1 cap C2 exactly when B lies in C1 and B H2^T = 0.
+    B spans the intersection iff it lies in it and rank B is its dimension.
+    B is A_1 plus at most q rows R, so rank B is dim span(A_1), memoised,
+    plus the rank of R reduced against span(A_1).
+
+    The partners whose bases share one A_1 part form a group: in the closed
+    form that is all of them.  A group evaluates its rows R in one call,
+    reduces [span(A_1); R] against C1 and R against span(A_1) once each, and
+    multiplies [G1; span(A_1); R] by the stacked H2^T of a chunk of its
+    partners at a time.  A chunk's digit operand and accumulator hold at
+    most OPERAND_BLOCK cells, the budget of a `field_matmul` block, or it
+    is one partner.  Each pair is left with two ranks, of its Gram block
+    and of its reduced rows, and no elimination of length n.
+    """
     ctx = field_for_size(q)
-    basis = relative_hull_basis(q, d1, d2)
-    oracle = hull_oracle(q, d1, d2)
-    a1 = _monomial_span(q, basis.part_a1)
-    rest = evaluate_polynomials(ctx, projective_points(ctx, 2), basis.past_a1())
-    rank = a1.k + len(rref(ctx, a1._reduce_rows(rest))[1])
-    contained = not oracle._reduce_rows(np.vstack([a1.matrix, rest])).any()
-    return HullCheck(
-        q,
-        d1,
-        d2,
-        formula_dim=relative_hull_dim(q, d1, d2),
-        basis_size=basis.dimension,
-        oracle_dim=oracle.k,
-        basis_spans=contained and rank == oracle.k,
-    )
+    d2s = list(d2s)
+    if any(_validate(q, d1, d2) != (d1, d2) for d2 in d2s):
+        raise ValueError(f"partner degrees must be at least d1 = {d1}")
+    c1 = prm_code(ctx, 2, d1)  # refuses a field too large before any point is built
+    pts = projective_points(ctx, 2)
+    k1 = c1.k
+    bases = [relative_hull_basis(q, d1, d2) for d2 in d2s]
+    groups: dict[tuple[Monomial, ...], list[int]] = {}
+    for i, basis in enumerate(bases):
+        groups.setdefault(basis.part_a1, []).append(i)
+    checks: dict[int, HullCheck] = {}
+    for part_a1, members in groups.items():
+        a1 = _monomial_span(q, part_a1)
+        rests = [bases[i].past_a1() for i in members]
+        rows = evaluate_polynomials(ctx, pts, [f for rest in rests for f in rest])
+        ends = list(itertools.accumulate(len(rest) for rest in rests))
+        own = [slice(end - len(rest), end) for rest, end in zip(rests, ends)]
+        # nonzero exactly on the rows of [span(A_1); R] outside C1
+        outside_c1 = c1._reduce_rows(np.vstack([a1.matrix, rows])).any(axis=1)
+        a1_outside, rows_outside = outside_c1[: a1.k].any(), outside_c1[a1.k :]
+        reduced = a1._reduce_rows(rows)
+        duals = [prm_code(ctx, 2, d2s[i]).dual().matrix for i in members]
+        # digit cells per column of H2^T: n in the operand, the rows in the accumulator
+        depth = ctx.e * (c1.n + k1 + a1.k + len(rows))
+        for chunk in _chunks([depth * len(h) for h in duals]):
+            lo = own[chunk[0]].start
+            lhs = np.vstack([c1.matrix, a1.matrix, rows[lo : own[chunk[-1]].stop]])
+            product = field_matmul(ctx, lhs, np.vstack([duals[j] for j in chunk]).T)
+            col = 0
+            for j in chunk:
+                block = product[:, col : col + len(duals[j])]
+                col += len(duals[j])
+                mine = slice(k1 + a1.k + own[j].start - lo, k1 + a1.k + own[j].stop - lo)
+                contained = not (
+                    a1_outside
+                    or rows_outside[own[j]].any()
+                    or block[k1 : k1 + a1.k].any()
+                    or block[mine].any()
+                )
+                oracle_dim = k1 - len(rref(ctx, block[:k1])[1])
+                rank = a1.k + len(rref(ctx, reduced[own[j]])[1])
+                i = members[j]
+                checks[i] = HullCheck(
+                    q,
+                    d1,
+                    d2s[i],
+                    formula_dim=relative_hull_dim(q, d1, d2s[i]),
+                    basis_size=bases[i].dimension,
+                    oracle_dim=oracle_dim,
+                    basis_spans=contained and rank == oracle_dim,
+                )
+    return [checks[i] for i in range(len(bases))]
+
+
+def _chunks(cells: list[int]) -> list[list[int]]:
+    """Consecutive runs of indices whose cells sum to at most OPERAND_BLOCK,
+    one index alone when it is larger."""
+    chunks: list[list[int]] = []
+    total = OPERAND_BLOCK
+    for i, size in enumerate(cells):
+        if total + size > OPERAND_BLOCK:
+            chunks.append([])
+            total = 0
+        chunks[-1].append(i)
+        total += size
+    return chunks
 
 
 def extended_dual_hull_oracle(q: int, d1: int, d2: int) -> LinearCode:

@@ -33,14 +33,13 @@ def euclid_sweep(q: int) -> list[dict]:
     """Formula dim == oracle dim and exact span equality, all degree pairs."""
     records = []
     for d1 in range(1, 2 * (q - 1) + 1):
-        for d2 in range(d1, 2 * (q - 1) + 1):
-            chk = eh.verify_relative_hull(q, d1, d2)
+        for chk in eh.verify_relative_hulls(q, d1, range(d1, 2 * (q - 1) + 1)):
             records.append(
                 {
                     "check": "euclid-hull",
                     "q": q,
-                    "d1": d1,
-                    "d2": d2,
+                    "d1": chk.d1,
+                    "d2": chk.d2,
                     "formula_dim": chk.formula_dim,
                     "oracle_dim": chk.oracle_dim,
                     "basis_spans": chk.basis_spans,
@@ -153,7 +152,11 @@ def eaqecc_euclid_sweep(q: int) -> list[dict]:
 
 
 def purity_sweep(q: int, cap: int = DEFAULT_WEIGHT_CAP) -> list[dict]:
-    """Purity probes for every enumeration-feasible non-congruent pair."""
+    """Purity probes for every enumeration-feasible non-congruent pair.
+
+    A probed record fails unless the pair is pure and the searched weight
+    of PRM_d1 is the closed-form weight.
+    """
     records = []
     for d1 in range(1, 2 * (q - 1) + 1):
         for d2 in range(1, 2 * (q - 1) + 1):
@@ -165,10 +168,11 @@ def purity_sweep(q: int, cap: int = DEFAULT_WEIGHT_CAP) -> list[dict]:
             except EnumerationBudgetError:
                 record.update(status="info", detail="enumeration exceeds cap; skipped")
             else:
+                ok = rep.pure and rep.wt_full == prm_params(q, 2, d1).wt
                 record.update(
                     wt_full=rep.wt_full,
                     wt_excluding=rep.wt_excluding,
-                    status="pass" if rep.pure else "fail",
+                    status="pass" if ok else "fail",
                 )
             records.append(record)
     return records

@@ -375,6 +375,34 @@ def test_verify_fails_a_planted_closed_form_fault(capsys, monkeypatch, argv, nam
     assert recs[-1]["status"] == "fail"
 
 
+def test_verify_euclid_fails_a_planted_dimension_fault(capsys, monkeypatch):
+    from prmhull import euclidean_hull
+
+    real = euclidean_hull.relative_hull_dim
+    monkeypatch.setattr(euclidean_hull, "relative_hull_dim", lambda q, d1, d2: real(q, d1, d2) + 1)
+    monkeypatch.setattr(verify, "available_cpus", lambda: 2)
+    code, out, _ = run_cli(capsys, "verify", "euclid", "--q", "4")
+    assert code == 1
+    pairs = [r for r in jlines(out) if r["check"] == "euclid-hull"]
+    assert len(pairs) == 21 and all(r["status"] == "fail" for r in pairs)
+    assert all(r["formula_dim"] == r["oracle_dim"] + 1 for r in pairs)
+
+
+def test_verify_purity_fails_a_planted_weight_fault(capsys, monkeypatch):
+    # the searched weight of PRM_d1 must be the closed-form weight
+    from prmhull import prm
+
+    real = prm._weight_formula
+    monkeypatch.setattr(prm, "_weight_formula", lambda q, m, reduced: real(q, m, reduced) + 1)
+    monkeypatch.setattr(verify, "available_cpus", lambda: 2)
+    code, out, _ = run_cli(capsys, "verify", "eaqecc", "--q", "3", "--purity")
+    assert code == 1
+    recs = jlines(out)
+    probed = [r for r in recs if r["check"] == "eaqecc-purity" and "wt_full" in r]
+    assert probed and all(r["status"] == "fail" for r in probed)
+    assert recs[-1]["status"] == "fail"
+
+
 def test_verify_affine_self_orthogonality_reads_the_oracle(capsys, monkeypatch):
     # an oracle that calls every RM code its own hull fails exactly the
     # degrees past the self-orthogonality boundary

@@ -272,6 +272,53 @@ def _reference_rref(ctx, rows):
     return M[:r], tuple(pivots)
 
 
+def _dependent_columns(ctx, rng, h, rank, w):
+    """An h x w matrix of rank <= `rank` whose columns come in runs: copies
+    and multiples of earlier columns, zero columns and independent ones, so
+    that elimination meets columns zero below the current row."""
+    B = np.zeros((rank, w), dtype=np.int64)
+    c = 0
+    while c < w:
+        kind = rng.integers(0, 3)
+        run = min(int(rng.integers(1, 6)), w - c)
+        for j in range(c, c + run):
+            if kind == 0 or j == 0:
+                B[:, j] = rng.integers(0, ctx.q, size=rank)
+            elif kind == 1:
+                src = int(rng.integers(0, j))
+                scale = int(rng.integers(1, ctx.q))
+                B[:, j] = [ctx.mul(scale, int(v)) for v in B[:, src]]
+        c += run
+    A = rng.integers(0, ctx.q, size=(h, rank))
+    return _scalar_matmul(ctx, A, B)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 16, 25])
+def test_rref_matches_reference_on_structured_inputs(q):
+    # runs of zero columns (whole, and zero below a row only), rank-deficient
+    # matrices and wide ones, against the whole-row reference elimination
+    ctx = field_for_size(q)
+    rng = np.random.default_rng(q)
+    cases = []
+    for _ in range(3):
+        M = rng.integers(0, q, size=(12, 40))
+        M[:, 5:12] = 0  # a run of zero columns
+        M[6:, 20:31] = 0  # zero below row 6 only
+        M[:, -4:] = 0  # trailing zero columns
+        cases.append(M)
+        cases.append(_dependent_columns(ctx, rng, 15, 6, 50))  # rank <= 6
+        cases.append(_dependent_columns(ctx, rng, 9, 9, 30))
+        cases.append(rng.integers(0, q, size=(int(rng.integers(10, 40)), 100)))  # wide
+        cases.append(_dependent_columns(ctx, rng, 30, 12, 104))  # wide and rank-deficient
+    cases += [np.zeros((4, 9), dtype=np.int64), np.zeros((0, 5), dtype=np.int64)]
+    for M in cases:
+        R, piv = rref(ctx, M)
+        ref_R, ref_piv = _reference_rref(ctx, M)
+        assert piv == ref_piv
+        assert np.array_equal(R, ref_R)
+    assert len(rref(ctx, cases[1])[1]) <= 6
+
+
 def _reference_dual(code):
     """The check matrix built entry by entry, then reduced: (matrix, pivots)."""
     ctx, n = code.ctx, code.n
@@ -573,6 +620,28 @@ def test_field_matmul_product_over_several_default_blocks():
     B = rng.integers(0, 5, size=(6, 4096))
     assert 40 * 4096 > 2 * codes._REDUCE_BLOCK
     assert np.array_equal(field_matmul(ctx, A, B), A @ B % 5)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("q", [2, 4, 9, 25])
+def test_field_matmul_blocked_over_columns_equals_the_unblocked_product(q, block):
+    # column blocks of B whose digit operand holds at most OPERAND_BLOCK
+    # cells, one column each when a column is larger
+    from prmhull import codes
+
+    ctx = field_for_size(q)
+    rng = np.random.default_rng(block + q)
+    shapes = [(7, 5, 13), (9, 1, 40), (0, 3, 9), (3, 2, 0), (4, 0, 6), (5, 30, 3)]
+    pairs = [
+        (rng.integers(0, q, size=(r, m)), rng.integers(0, q, size=(m, s))) for r, m, s in shapes
+    ]
+    whole = [field_matmul(ctx, A, B) for A, B in pairs]
+    assert all(A.shape[1] * ctx.e * B.shape[1] <= codes.OPERAND_BLOCK for A, B in pairs)
+    with mock.patch.object(codes, "OPERAND_BLOCK", block):
+        for (A, B), product in zip(pairs, whole):
+            blocked = field_matmul(ctx, A, B)
+            assert blocked.dtype == product.dtype and np.array_equal(blocked, product)
+            assert np.array_equal(blocked, _scalar_matmul(ctx, A, B))
 
 
 def test_field_matmul_refuses_products_past_float_exactness():

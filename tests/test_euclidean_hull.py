@@ -13,6 +13,7 @@ from prmhull.euclidean_hull import (
     self_hull_basis,
     self_hull_dim,
     verify_relative_hull,
+    verify_relative_hulls,
     y_set,
 )
 from prmhull.fields import field_for_size
@@ -302,3 +303,108 @@ def test_second_record_with_the_same_d1_runs_no_length_n_elimination(monkeypatch
         monkeypatch.setattr(module, "rref", recording)
     assert verify_relative_hull(q, d1, 13).ok
     assert widths and n not in widths
+
+
+def _partners(q, d1):
+    return range(d1, 2 * (q - 1) + 1)
+
+
+@pytest.mark.parametrize("q, d1s", [(2, None), (3, None), (4, None), (5, None), (9, [9])])
+def test_batched_oracle_dim_is_the_intersection_dimension(q, d1s):
+    # k1 - rank(G1 H2^T) against the elimination oracle's intersection
+    for d1 in d1s or range(1, 2 * (q - 1) + 1):
+        checks = verify_relative_hulls(q, d1, _partners(q, d1))
+        assert [(c.d1, c.d2) for c in checks] == [(d1, d2) for d2 in _partners(q, d1)]
+        for chk in checks:
+            assert chk.oracle_dim == hull_oracle(q, d1, chk.d2).k, chk
+
+
+def test_batched_check_refuses_a_partner_below_d1():
+    with pytest.raises(ValueError, match="at least d1"):
+        verify_relative_hulls(4, 3, [3, 2])
+    assert verify_relative_hulls(4, 3, []) == []
+
+
+def test_chunks_hold_at_most_the_budget(monkeypatch):
+    from prmhull import euclidean_hull
+
+    monkeypatch.setattr(euclidean_hull, "OPERAND_BLOCK", 6)
+    assert euclidean_hull._chunks([3, 3, 1, 9, 2, 4, 6]) == [[0, 1], [2], [3], [4, 5], [6]]
+    assert euclidean_hull._chunks([]) == []
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 9])
+def test_records_are_the_same_with_one_chunk_per_partner(q, monkeypatch):
+    from prmhull import euclidean_hull
+
+    whole = {d1: verify_relative_hulls(q, d1, _partners(q, d1)) for d1 in range(1, 2 * q - 1)}
+    products = []
+    real = euclidean_hull.field_matmul
+
+    def counted(ctx, A, B):
+        products.append(B.shape[1])
+        return real(ctx, A, B)
+
+    monkeypatch.setattr(euclidean_hull, "field_matmul", counted)
+    for d1, checks in whole.items():
+        products.clear()
+        assert verify_relative_hulls(q, d1, _partners(q, d1)) == checks
+        assert len(products) == 1  # every partner in one chunk at the default budget
+    monkeypatch.setattr(euclidean_hull, "OPERAND_BLOCK", 1)
+    for d1, checks in whole.items():
+        products.clear()
+        assert verify_relative_hulls(q, d1, _partners(q, d1)) == checks
+        assert len(products) == len(checks)
+
+
+def _more_broken_bases(q, d1, d2):
+    """Closed-form bases of the right size whose fault only one part of the
+    check sees: a member in C2 but outside C1 (a row past A_1, or in A_1
+    itself), or a row past A_1 repeated in place of another."""
+    from dataclasses import replace
+
+    from prmhull.prm import degree_monomials
+
+    ctx = field_for_size(q)
+    pts = projective_points(ctx, 2)
+    basis = relative_hull_basis(q, d1, d2)
+    c1 = prm_code(ctx, 2, d1)
+    outside = next(
+        m for m in degree_monomials(3, d2) if not c1.contains(evaluate_monomials(ctx, pts, [m])[0])
+    )
+    return {
+        "Q swapped for a monomial outside C1": replace(
+            basis, part_q=SparsePolynomial.monomial(ctx, outside)
+        ),
+        "A_1 member outside C1": replace(basis, part_a1=basis.part_a1[:-1] + (outside,)),
+        "Y monomial repeated": replace(basis, part_y=basis.part_y[:1] * len(basis.part_y)),
+    }
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        "Y monomial dropped",
+        "A_1 monomial duplicated",
+        "Q swapped for a monomial outside C2",
+        "part_a1 changed",
+        "Q swapped for a monomial outside C1",
+        "A_1 member outside C1",
+        "Y monomial repeated",
+    ],
+)
+def test_euclid_sweep_fails_exactly_the_pair_of_a_broken_basis(fault, monkeypatch):
+    # one pair's basis broken, the other partners of its d1 intact: a changed
+    # A_1 part puts the broken pair in a group of its own
+    from prmhull import euclidean_hull, verify
+
+    broken = (_broken_bases(4, 4, 5) | _more_broken_bases(4, 4, 5))[fault]
+    real = euclidean_hull.relative_hull_basis
+
+    def planted(q, d1, d2):
+        return broken if (q, d1, d2) == (4, 4, 5) else real(q, d1, d2)
+
+    monkeypatch.setattr(euclidean_hull, "relative_hull_basis", planted)
+    records = verify.euclid_sweep(4)
+    failed = [(r["d1"], r["d2"]) for r in records if r["status"] == "fail"]
+    assert failed == [(4, 5)]
