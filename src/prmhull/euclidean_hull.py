@@ -17,8 +17,9 @@ CLI refuses it unless asked for the bare intersection.
 d2 at once, with no intersection built: dim(C1 cap C2) = k1 - rank(G1 H2^T)
 and B lies in C1 cap C2 iff B lies in C1 and B H2^T = 0, for H2 the
 memoised dual of C2.  The partners that share one A_1 part share its
-evaluations and reductions, and their H2^T are stacked into products of
-at most OPERAND_BLOCK digit cells, the block budget of `field_matmul`.
+span, evaluations and reductions, and their H2^T are stacked into products
+of at most OPERAND_BLOCK digit cells, the block budget of `field_matmul`.
+The span is not kept: a sweep visits each d1 once.
 `hull_oracle` builds the intersection itself; the tests take it as the
 reference.
 """
@@ -27,13 +28,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .codes import OPERAND_BLOCK, LinearCode, field_matmul, rref
 from .fields import field_for_size
-from .points import projective_points
 from .polynomials import (
     Monomial,
     SparsePolynomial,
@@ -43,7 +42,7 @@ from .polynomials import (
     evaluate_polynomials,
     overline,
 )
-from .prm import CODE_CACHE_SIZE, dim_prm, dim_rm, prm_code, prm_params
+from .prm import dim_prm, dim_rm, kernel_points, prm_code, prm_params
 
 
 class DualNotPrmError(ValueError):
@@ -243,15 +242,6 @@ class HullCheck:
         return self.formula_dim == self.oracle_dim == self.basis_size and self.basis_spans
 
 
-@lru_cache(maxsize=CODE_CACHE_SIZE)
-def _monomial_span(q: int, monomials: tuple[Monomial, ...]) -> LinearCode:
-    """Span of the evaluations of plane monomials; the records of a sweep that
-    share d1 share A_1^{d1}, so its elimination runs once."""
-    ctx = field_for_size(q)
-    pts = projective_points(ctx, 2)
-    return LinearCode.from_rows(ctx, evaluate_monomials(ctx, pts, monomials))
-
-
 def verify_relative_hull(q: int, d1: int, d2: int) -> HullCheck:
     """Closed form vs oracle for one pair: `verify_relative_hulls` with one partner."""
     d1, d2 = _validate(q, d1, d2)
@@ -268,11 +258,12 @@ def verify_relative_hulls(q: int, d1: int, d2s) -> list[HullCheck]:
       `LinearCode.relative_hull` forms;
     - B lies in C1 cap C2 exactly when B lies in C1 and B H2^T = 0.
     B spans the intersection iff it lies in it and rank B is its dimension.
-    B is A_1 plus at most q rows R, so rank B is dim span(A_1), memoised,
-    plus the rank of R reduced against span(A_1).
+    B is A_1 plus at most q rows R, so rank B is dim span(A_1) plus the
+    rank of R reduced against span(A_1).
 
     The partners whose bases share one A_1 part form a group: in the closed
-    form that is all of them.  A group evaluates its rows R in one call,
+    form that is all of them.  A group eliminates its A_1 evaluations once,
+    its one elimination of length n, evaluates its rows R in one call,
     reduces [span(A_1); R] against C1 and R against span(A_1) once each, and
     multiplies [G1; span(A_1); R] by the stacked H2^T of a chunk of its
     partners at a time.  A chunk's digit operand and accumulator hold at
@@ -284,8 +275,8 @@ def verify_relative_hulls(q: int, d1: int, d2s) -> list[HullCheck]:
     d2s = list(d2s)
     if any(_validate(q, d1, d2) != (d1, d2) for d2 in d2s):
         raise ValueError(f"partner degrees must be at least d1 = {d1}")
-    c1 = prm_code(ctx, 2, d1)  # refuses a field too large before any point is built
-    pts = projective_points(ctx, 2)
+    pts = kernel_points(ctx, 2)
+    c1 = prm_code(ctx, 2, d1)
     k1 = c1.k
     bases = [relative_hull_basis(q, d1, d2) for d2 in d2s]
     groups: dict[tuple[Monomial, ...], list[int]] = {}
@@ -293,7 +284,7 @@ def verify_relative_hulls(q: int, d1: int, d2s) -> list[HullCheck]:
         groups.setdefault(basis.part_a1, []).append(i)
     checks: dict[int, HullCheck] = {}
     for part_a1, members in groups.items():
-        a1 = _monomial_span(q, part_a1)
+        a1 = LinearCode.from_rows(ctx, evaluate_monomials(ctx, pts, part_a1))
         rests = [bases[i].past_a1() for i in members]
         rows = evaluate_polynomials(ctx, pts, [f for rest in rests for f in rest])
         ends = list(itertools.accumulate(len(rest) for rest in rests))

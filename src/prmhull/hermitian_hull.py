@@ -33,7 +33,7 @@ import numpy as np
 
 from .codes import LinearCode, _null_space, field_matmul, rref
 from .fields import field_for_size
-from .points import PointSet, affine_points, projective_points
+from .points import PointSet
 from .polynomials import (
     Monomial,
     SparsePolynomial,
@@ -44,7 +44,7 @@ from .polynomials import (
     evaluate_monomials,
     overline,
 )
-from .prm import binom, bounded_monomials, degree_monomials, dim_prm, dim_rm
+from .prm import binom, bounded_monomials, degree_monomials, dim_prm, dim_rm, kernel_points
 
 
 def _check_base(q: int, *degrees: int, lo: int = 0, hi: int = 0) -> int:
@@ -106,7 +106,7 @@ def affine_hull_oracle(q: int, d1: int, d2: int) -> LinearCode:
     bounded_monomials(2, d1, q^2-1)."""
     Q = _check_base(q, d1, d2, hi=2 * (q * q - 1))
     monos1, monos2 = (bounded_monomials(2, d, Q - 1) for d in (d1, d2))
-    return _gram_null_space(q, affine_points(field_for_size(Q), 2), monos1, monos2)
+    return _gram_null_space(q, kernel_points(field_for_size(Q), 2, affine=True), monos1, monos2)
 
 
 # -- the sets U, T, V, W ---------------------------------------------------------
@@ -349,7 +349,7 @@ def hermitian_hull_oracle(q: int, d: int) -> LinearCode:
     rows on degree_monomials(3, d)."""
     Q = _check_base(q, d, lo=1, hi=q * q - 2)
     monos = degree_monomials(3, d)
-    return _gram_null_space(q, projective_points(field_for_size(Q), 2), monos, monos)
+    return _gram_null_space(q, kernel_points(field_for_size(Q), 2), monos, monos)
 
 
 def _gram_null_space(q: int, pts: PointSet, monos1: list, monos2: list) -> LinearCode:
@@ -370,7 +370,7 @@ def power_span_code(q: int, degree: int) -> LinearCode:
     """
     ctx = field_for_size(_check_base(q))
     monos = [tuple(q * e for e in m) for part in basis_ad(ctx.q, degree) for m in part]
-    return LinearCode.from_rows(ctx, evaluate_monomials(ctx, projective_points(ctx, 2), monos))
+    return LinearCode.from_rows(ctx, evaluate_monomials(ctx, kernel_points(ctx, 2), monos))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,9 @@ minimum distances come from the classical alternating-sum and (q-s)q^(m-r-1)
 formulas; duality sends PRM_d to PRM_{m(q-1)-d}, plus the all-ones vector
 exactly when d = 0 mod q-1 (with PRM_0 meaning the all-ones code), and
 RM_d to RM_{m(q-1)-d-1}.
+
+Every code and oracle takes its points from `kernel_points`, which refuses
+a field too large for the kernel before any point of it is built.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .codes import LinearCode, kernel_tables, rref
 from .fields import FieldContext
-from .points import affine_points, projective_points
+from .points import PointSet, affine_points, projective_points
 from .polynomials import evaluate_monomials, grlex_key
 
 
@@ -92,12 +95,17 @@ def _check_degree(q: int, m: int, d: int, lowest: int) -> None:
         raise ValueError(f"degree {d} outside [{lowest}, {m*(q-1)}] over GF({q})")
 
 
+def kernel_points(ctx: FieldContext, m: int, affine: bool = False) -> PointSet:
+    """P^m (or A^m) over ctx, once the kernel has accepted the field."""
+    kernel_tables(ctx)
+    return affine_points(ctx, m) if affine else projective_points(ctx, m)
+
+
 @lru_cache(maxsize=CODE_CACHE_SIZE)
 def prm_code(ctx: FieldContext, m: int, d: int) -> LinearCode:
     """The projective Reed-Muller code of degree d over P^m."""
     _check_degree(ctx.q, m, d, 1)
-    kernel_tables(ctx)  # refuse a field too large before its point set is built and cached
-    pts = projective_points(ctx, m)
+    pts = kernel_points(ctx, m)
     rows = evaluate_monomials(ctx, pts, degree_monomials(m + 1, d))
     R, piv = rref(ctx, rows)
     return LinearCode(ctx, len(pts), R, piv)
@@ -107,8 +115,7 @@ def prm_code(ctx: FieldContext, m: int, d: int) -> LinearCode:
 def rm_code(ctx: FieldContext, m: int, d: int) -> LinearCode:
     """The affine Reed-Muller code of order d over A^m."""
     _check_degree(ctx.q, m, d, 0)
-    kernel_tables(ctx)
-    pts = affine_points(ctx, m)
+    pts = kernel_points(ctx, m, affine=True)
     rows = evaluate_monomials(ctx, pts, bounded_monomials(m, d, ctx.q - 1))
     R, piv = rref(ctx, rows)
     return LinearCode(ctx, len(pts), R, piv)

@@ -61,6 +61,7 @@ def asym_from_codes(c1: LinearCode, c2: LinearCode) -> EaqeccParams:
 
 
 def _check_asym_degrees(q: int, d1: int, d2: int) -> None:
+    """Admit 1 <= d1 <= d2 < 2(q-1), neither equal to q-1, the `asym_pairs`."""
     if not 1 <= d1 <= d2 < 2 * (q - 1):
         raise ValueError(
             f"require 1 <= d1 <= d2 < 2(q-1) = {2*(q-1)}; got d1={d1}, d2={d2}"
@@ -69,6 +70,12 @@ def _check_asym_degrees(q: int, d1: int, d2: int) -> None:
         raise ValueError(
             f"degree q-1 = {q-1} excluded: the dual involved is not a PRM code"
         )
+
+
+def asym_pairs(q: int):
+    """The pairs `_check_asym_degrees` admits, in (d1, d2) order."""
+    degrees = [d for d in range(1, 2 * (q - 1)) if d != q - 1]
+    return ((d1, d2) for i, d1 in enumerate(degrees) for d2 in degrees[i:])
 
 
 def prm_asym_eaqecc(q: int, d1: int, d2: int) -> EaqeccParams:
@@ -169,15 +176,6 @@ def purity_probe(
 
 
 def asym_table_rows(q: int) -> list[tuple[int, int, EaqeccParams]]:
-    """All admissible closed-form asymmetric rows for this field, sorted."""
-    rows = []
-    for d1 in range(1, 2 * (q - 1)):
-        if d1 == q - 1:
-            continue
-        for d2 in range(d1, 2 * (q - 1)):
-            if d2 == q - 1:
-                continue
-            params = prm_asym_eaqecc(q, d1, d2)
-            if params.kappa >= 0:
-                rows.append((d1, d2, params))
-    return sorted(rows, key=lambda r: (r[0], r[1]))
+    """The closed-form asymmetric rows with kappa >= 0, in `asym_pairs` order."""
+    rows = [(d1, d2, prm_asym_eaqecc(q, d1, d2)) for d1, d2 in asym_pairs(q)]
+    return [row for row in rows if row[2].kappa >= 0]

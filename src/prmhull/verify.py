@@ -128,26 +128,23 @@ def eaqecc_euclid_sweep(q: int) -> list[dict]:
     """Closed-form c and kappa against the oracle for all admissible pairs."""
     ctx = field_for_size(q)
     records = []
-    for d1 in range(1, 2 * (q - 1)):
-        for d2 in range(d1, 2 * (q - 1)):
-            if q - 1 in (d1, d2):
-                continue
-            closed = qt.prm_asym_eaqecc(q, d1, d2)
-            oracle = qt.asym_from_codes(prm_code(ctx, 2, d1), prm_code(ctx, 2, d2))
-            ok = (closed.c, closed.kappa) == (oracle.c, oracle.kappa)
-            records.append(
-                {
-                    "check": "eaqecc-asym-closed-vs-oracle",
-                    "q": q,
-                    "d1": d1,
-                    "d2": d2,
-                    "closed_c": closed.c,
-                    "oracle_c": oracle.c,
-                    "closed_kappa": closed.kappa,
-                    "oracle_kappa": oracle.kappa,
-                    "status": "pass" if ok else "fail",
-                }
-            )
+    for d1, d2 in qt.asym_pairs(q):
+        closed = qt.prm_asym_eaqecc(q, d1, d2)
+        oracle = qt.asym_from_codes(prm_code(ctx, 2, d1), prm_code(ctx, 2, d2))
+        ok = (closed.c, closed.kappa) == (oracle.c, oracle.kappa)
+        records.append(
+            {
+                "check": "eaqecc-asym-closed-vs-oracle",
+                "q": q,
+                "d1": d1,
+                "d2": d2,
+                "closed_c": closed.c,
+                "oracle_c": oracle.c,
+                "closed_kappa": closed.kappa,
+                "oracle_kappa": oracle.kappa,
+                "status": "pass" if ok else "fail",
+            }
+        )
     return records
 
 

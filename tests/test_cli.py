@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from prmhull import verify
 from prmhull.cli import main
 from prmhull.euclidean_hull import relative_hull_dim
-from prmhull.points import projective_points
+from prmhull.points import affine_points, projective_points
 
 
 def run_cli(capsys, *argv):
@@ -388,6 +388,43 @@ def test_verify_euclid_fails_a_planted_dimension_fault(capsys, monkeypatch):
     assert all(r["formula_dim"] == r["oracle_dim"] + 1 for r in pairs)
 
 
+def _kappa_plus_1(real):
+    def planted(q, d1, d2):
+        params = real(q, d1, d2)
+        return dataclasses.replace(params, kappa=params.kappa + 1)
+
+    return planted
+
+
+@pytest.mark.parametrize(
+    "name, fault, planted",
+    [
+        # one more hull dimension is one less c, and one less kappa
+        (
+            "hull_dim_with_dual",
+            lambda real: lambda q, d1, d2: real(q, d1, d2) + 1,
+            lambda r: r["closed_c"] == r["oracle_c"] - 1,
+        ),
+        (
+            "prm_asym_eaqecc",
+            _kappa_plus_1,
+            lambda r: (r["closed_c"], r["closed_kappa"]) == (r["oracle_c"], r["oracle_kappa"] + 1),
+        ),
+    ],
+    ids=["c", "kappa"],
+)
+def test_verify_eaqecc_fails_a_planted_c_or_kappa_fault(capsys, monkeypatch, name, fault, planted):
+    from prmhull import quantum
+
+    monkeypatch.setattr(quantum, name, fault(getattr(quantum, name)))
+    monkeypatch.setattr(verify, "available_cpus", lambda: 2)
+    code, out, _ = run_cli(capsys, "verify", "eaqecc", "--q", "5")
+    assert code == 1
+    pairs = [r for r in jlines(out) if r["check"] == "eaqecc-asym-closed-vs-oracle"]
+    assert len(pairs) == 21 and all(r["status"] == "fail" for r in pairs)
+    assert all(planted(r) for r in pairs)
+
+
 def test_verify_purity_fails_a_planted_weight_fault(capsys, monkeypatch):
     # the searched weight of PRM_d1 must be the closed-form weight
     from prmhull import prm
@@ -606,15 +643,20 @@ def test_verify_above_table_limit_exits_2(capsys):
 
 
 def test_refused_field_leaves_no_point_set_cached(capsys):
-    # the GF(625) plane has 391,251 points; refusing must not build them, nor
-    # look them up (an earlier test that built them would hide it otherwise)
-    before = projective_points.cache_info()
-    code, out, _ = run_cli(
-        capsys, "hull", "euclid", "--q", "625", "--d1", "1", "--d2", "2", "--verify"
-    )
-    assert code == 2
-    assert out == ""
-    assert projective_points.cache_info() == before
+    # the planes over GF(625), GF(529) and GF(1024) have 391,251, 280,371 and
+    # 1,048,576 points; refusing must not build them, nor look them up (an
+    # earlier test that built them would hide it otherwise)
+    for argv in (
+        ("euclid", "--q", "625", "--d1", "1", "--d2", "2"),
+        ("hermitian", "--q", "23", "--d", "1"),
+        ("affine-hermitian", "--q", "32", "--d", "1"),
+    ):
+        before = (projective_points.cache_info(), affine_points.cache_info())
+        code, out, err = run_cli(capsys, "hull", *argv, "--verify")
+        assert code == 2
+        assert out == ""
+        assert "dense tables" in json.loads(err)["error"]
+        assert (projective_points.cache_info(), affine_points.cache_info()) == before
 
 
 def test_verify_negative_cap_exits_2(capsys):

@@ -271,7 +271,7 @@ def _broken_bases(q, d1, d2):
 def test_coordinate_check_refuses_broken_bases(q, d1, d2, monkeypatch):
     from prmhull import euclidean_hull
 
-    assert verify_relative_hull(q, d1, d2).basis_spans  # the memo holds the true A_1
+    assert verify_relative_hull(q, d1, d2).basis_spans
     oracle = hull_oracle(q, d1, d2)
     for fault, broken in _broken_bases(q, d1, d2).items():
         monkeypatch.setattr(euclidean_hull, "relative_hull_basis", lambda *_: broken)
@@ -281,17 +281,18 @@ def test_coordinate_check_refuses_broken_bases(q, d1, d2, monkeypatch):
         assert not spans, fault
 
 
-def test_second_record_with_the_same_d1_runs_no_length_n_elimination(monkeypatch):
+def test_one_batched_call_runs_one_length_n_elimination(monkeypatch):
+    # the partners of one d1 share the span of A_1^{d1}; with every code and
+    # dual warm, it is the one elimination of length n the whole call runs
     from prmhull import codes, euclidean_hull, prm
 
     q, d1 = 9, 9
     ctx = field_for_size(q)
     n = len(projective_points(ctx, 2))
     assert n == 91
-    # warm up: the codes and duals the oracle needs, and the span of A_1^{d1}
-    for d in (d1, 12, 13):
+    partners = range(d1, 2 * (q - 1) + 1)
+    for d in partners:
         prm_code(ctx, 2, d).dual()
-    assert verify_relative_hull(q, d1, 12).ok
     widths = []
     real = codes.rref
 
@@ -301,8 +302,8 @@ def test_second_record_with_the_same_d1_runs_no_length_n_elimination(monkeypatch
 
     for module in (codes, euclidean_hull, prm):
         monkeypatch.setattr(module, "rref", recording)
-    assert verify_relative_hull(q, d1, 13).ok
-    assert widths and n not in widths
+    assert all(chk.ok for chk in verify_relative_hulls(q, d1, partners))
+    assert widths.count(n) == 1
 
 
 def _partners(q, d1):

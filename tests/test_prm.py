@@ -164,13 +164,21 @@ def test_dim_helpers_consistent_with_split_basis():
 
 
 def test_codes_beyond_table_limit_refused_before_points_are_built():
+    from prmhull.hermitian_hull import affine_hull_oracle, hermitian_hull_oracle, power_span_code
+
     big = field_make(5, 4)  # GF(625): no dense tables
     infos = (projective_points.cache_info(), affine_points.cache_info())
-    with pytest.raises(ValueError, match="dense tables"):
-        prm_code(big, 2, 1)
-    with pytest.raises(ValueError, match="dense tables"):
-        rm_code(big, 2, 1)
-    assert (projective_points.cache_info(), affine_points.cache_info()) == infos
+    for build, args in [
+        (prm_code, (big, 2, 1)),
+        (rm_code, (big, 2, 1)),
+        # over GF(23^2) and GF(32^2), whose planes have 280,371 and 1,048,576 points
+        (hermitian_hull_oracle, (23, 1)),
+        (affine_hull_oracle, (32, 1, 1)),
+        (power_span_code, (23, 1)),
+    ]:
+        with pytest.raises(ValueError, match="dense tables"):
+            build(*args)
+        assert (projective_points.cache_info(), affine_points.cache_info()) == infos, build
 
 
 @pytest.mark.parametrize(

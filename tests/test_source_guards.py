@@ -311,3 +311,50 @@ def test_guard_sees_forks_and_pool_imports():
         "        pid = os.fork\n"
     )
     assert _forks_and_pool_imports(ast.parse(src)) == (["", "f", "g"], [1, 2, 3, 4])
+
+
+POINT_BUILDERS = {"projective_points", "affine_points"}
+
+
+def _point_set_uses(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, enclosing function) of each use of projective_points or
+    affine_points outside an import, by name or attribute, called or
+    passed on; "" at module level."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Attribute) and node.attr in POINT_BUILDERS:
+            found.append((node.lineno, func))
+        elif isinstance(node, ast.Name) and node.id in POINT_BUILDERS:
+            found.append((node.lineno, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, "")
+    return sorted(found)
+
+
+def test_only_the_kernel_gate_builds_point_sets():
+    # prm.kernel_points refuses a field too large for the kernel before its
+    # points are built; a direct call would build the plane and then refuse
+    users = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        users |= {(path.name, func) for _, func in _point_set_uses(tree)}
+    assert users == {("prm.py", "kernel_points")}
+
+
+def test_guard_sees_point_set_uses():
+    src = (
+        "from .points import affine_points, projective_points\n"
+        "pts = projective_points(ctx, 2)\n"
+        "def f(ctx):\n"
+        "    return points.affine_points(ctx, 2)\n"
+        "class C:\n"
+        "    def g(self, ctx):\n"
+        "        build = projective_points\n"
+        "        return evaluate(ctx, build(ctx, 2), [])\n"
+    )
+    assert _point_set_uses(ast.parse(src)) == [(2, ""), (4, "f"), (7, "g")]
