@@ -51,13 +51,20 @@ count c of the EAQECC parameters (Wilde & Brun 2008).  An intersection
 is the relative hull against the memoised dual of the larger code, so
 its Gram matrix is k1 x (n-k2), the smaller of the two choices.
 `field_matmul` writes A B as sum_t A_t (x^t B) over the e GF(p) digit
-planes A_t of A: one float64 BLAS matmul per plane, against the digits
-of x^t B read from the kernel's shift table, then one reduction mod p.
-The sums stay below m e (p-1)^2 for inner dimension m, exact while that
-is under 2^53, and a larger product raises ValueError.  The product is
-formed one column block of B at a time, so that the digit operand of
-x^t B holds at most OPERAND_BLOCK cells (2 MB), or as many as A has when
-that is more: a narrower block would leave the matmul bound by reading A.
+planes A_t of A: one BLAS matmul per plane, against the digits of x^t B
+read from the kernel's shift table, then one reduction mod p.  The sums
+are integers below m e (p-1)^2 for inner dimension m.  While that is
+under 2^24 the planes, the operand, the accumulator and the reduction
+are float32, which holds every integer below 2^24 exactly, so every
+partial sum is exact in any order; from 2^24 to 2^53 they are float64,
+and a larger product raises ValueError.  The reduction a - p floor(a/p)
+is exact below either bound: the rounded quotient differs from a/p by at
+most a/p times 2^-24 (2^-53 in float64), less than 1/p, while a/p lies at
+least 1/p below the next integer, so its floor is the true quotient.
+The product is formed one column block of B at a time, so that the
+digit operand of x^t B holds at most OPERAND_BLOCK cells (1 MB in
+float32, 2 MB in float64), or as many as A has when that is more: a
+narrower block would leave the matmul bound by reading A.
 
 The Hermitian dual is the memoised dual's image under x -> x^q, entrywise:
 an automorphism of GF(q^2) fixing 0 and 1, so it keeps the RREF and its
@@ -118,8 +125,8 @@ from .fields import FieldContext
 TABLE_LIMIT = 512  # the kernel's q x q tables only up to this size
 DEFAULT_WEIGHT_CAP = 20_000_000
 _MESSAGE_BLOCK = 1 << 13
-_REDUCE_BLOCK = 1 << 16  # float64 cells per reduction step of field_matmul
-OPERAND_BLOCK = 1 << 18  # float64 cells of B's digit operand per block of field_matmul
+_REDUCE_BLOCK = 1 << 16  # cells per reduction step of field_matmul
+OPERAND_BLOCK = 1 << 18  # cells of B's digit operand per block of field_matmul
 _FLOAT_EXACT = 1 << 53  # float64 holds every integer below this exactly
 
 
@@ -411,13 +418,16 @@ def field_matmul(ctx: FieldContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """The product A B over GF(q) of encoding matrices A (r x m) and B (m x s).
 
     With x the field's polynomial variable and A_t the e GF(p) digit planes
-    of A, A B = sum_t A_t (x^t B): one float64 matmul per plane, against
-    the digits of x^t B from the kernel's shift table side by side.  The
-    sums are integers below m e (p-1)^2, exact while that is under 2^53,
-    which is checked; one reduction mod p and a recombination end it.  The
-    product is formed one column block of B at a time, so that the digit
-    operand (m x s_b e) holds at most OPERAND_BLOCK cells, or as many as
-    A has when that is more, and at least one column.
+    of A, A B = sum_t A_t (x^t B): one matmul per plane, against the digits
+    of x^t B from the kernel's shift table side by side.  Every partial sum
+    is an integer below m e (p-1)^2.  While that is under 2^24 the product
+    runs in float32, which holds every such integer exactly, so no sum is
+    rounded in whatever order BLAS adds; from 2^24 to 2^53 it runs in
+    float64, exact for the same reason, and a larger product raises
+    ValueError.  One reduction mod p and a recombination straight into the
+    int64 result end it.  The product is formed one column block of B at a
+    time, so that the digit operand (m x s_b e) holds at most OPERAND_BLOCK
+    cells, or as many as A has when that is more, and at least one column.
     """
     _, _, shift = kernel_tables(ctx)
     A, B = np.asarray(A), np.asarray(B)
@@ -425,8 +435,12 @@ def field_matmul(ctx: FieldContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise ValueError(f"cannot multiply shapes {A.shape} and {B.shape}")
     (r, m), s = A.shape, B.shape[1]
     p, e = ctx.p, ctx.e
-    if m * e * (p - 1) ** 2 >= _FLOAT_EXACT:
+    bound = m * e * (p - 1) ** 2
+    if bound >= _FLOAT_EXACT:
         raise ValueError(f"inner dimension {m} is too large for an exact product over {ctx!r}")
+    # float32 holds every integer below 2^24 exactly: half the bytes of
+    # every operand, accumulator and temporary wherever the sums stay below it
+    shift = shift.astype(np.float32 if bound < 1 << 24 else np.float64, copy=False)
     out = np.empty((r, s), dtype=np.int64)
     # a block of fewer digit columns than A has rows would leave the matmul
     # bound by reading A, so a block may also be as large as A
@@ -438,18 +452,20 @@ def field_matmul(ctx: FieldContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         acc = np.take(shift[0, :, 0], A) @ np.take(shift[0], Bb, axis=0).reshape(m, sb * e)
         for t in range(1, e):
             acc += np.take(shift[0, :, t], A) @ np.take(shift[t], Bb, axis=0).reshape(m, sb * e)
-        # exact below 2^53, where the rounded quotient cannot reach the next
-        # integer; several times faster than np.fmod.  Reduced a block of rows
-        # at a time, so its temporaries stay near _REDUCE_BLOCK cells
+        # exact below either bound, where the rounded quotient of an integer
+        # a by p is off by less than 1/p, so it cannot reach the next integer;
+        # several times faster than np.fmod.  Reduced a block of rows at a
+        # time, so its temporaries stay near _REDUCE_BLOCK cells
         rows = max(1, _REDUCE_BLOCK // max(1, sb * e))
         for top in range(0, r, rows):
             block = acc[top:top + rows]
             block -= p * np.floor(block / p)
         digits = acc.reshape(r, sb, e)
-        value = digits[..., e - 1]
+        value = out[:, lo:lo + sb]
+        np.copyto(value, digits[..., e - 1], casting="unsafe")
         for t in reversed(range(e - 1)):
-            value = value * p + digits[..., t]
-        out[:, lo:lo + sb] = value
+            value *= p
+            np.add(value, digits[..., t], out=value, casting="unsafe")
     return out
 
 

@@ -644,6 +644,35 @@ def test_field_matmul_blocked_over_columns_equals_the_unblocked_product(q, block
             assert np.array_equal(blocked, _scalar_matmul(ctx, A, B))
 
 
+@pytest.mark.parametrize("m", [65, 66])
+def test_field_matmul_is_exact_on_both_sides_of_the_float32_bound(m):
+    # m e (p-1)^2 < 2^24 runs in float32: over GF(509), 65 * 508^2 =
+    # 16,774,160 is under it and 66 * 508^2 = 17,032,224 runs in float64
+    ctx = field_for_size(509)
+    assert (m * 508**2 < 1 << 24) == (m == 65)
+    A = np.full((2, m), 508)
+    B = np.full((m, 3), 508)
+    assert np.array_equal(field_matmul(ctx, A, B), _scalar_matmul(ctx, A, B))
+    # with one product 507 * 507 the sum at (0, 0) is odd, and it passes 2^24,
+    # past which float32 holds only even integers, exactly at m = 66
+    A[0, -1] = B[-1, 0] = 507
+    assert ((m - 1) * 508**2 + 507**2 < 1 << 24) == (m == 65)
+    assert np.array_equal(field_matmul(ctx, A, B), _scalar_matmul(ctx, A, B))
+
+
+def test_field_matmul_over_an_extension_field_with_a_large_inner_dimension():
+    # GF(3^5): five digit planes summed over 2,000 terms, B split into two
+    # column blocks of the default size
+    from prmhull import codes
+
+    ctx = field_for_size(243)
+    rng = np.random.default_rng(243)
+    A = rng.integers(0, 243, size=(2, 2000))
+    B = rng.integers(0, 243, size=(2000, 30))
+    assert 2000 * ctx.e * 30 > codes.OPERAND_BLOCK
+    assert np.array_equal(field_matmul(ctx, A, B), _scalar_matmul(ctx, A, B))
+
+
 def test_field_matmul_refuses_products_past_float_exactness():
     # m e (p-1)^2 < 2^53 is the exactness bound; empty outer dimensions make
     # an inner dimension of up to 2^53 cost nothing to pass; at q = 2 and 3

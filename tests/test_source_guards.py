@@ -62,7 +62,8 @@ def _matrix_products(tree: ast.AST) -> list[tuple[int, str]]:
 
 def test_codes_has_one_matrix_product():
     # every GF(q) product in the kernel goes through field_matmul, whose
-    # float64 exactness bound is checked in one place
+    # exactness bounds (float32 below 2^24, float64 below 2^53) are checked
+    # in one place
     path = SRC / "codes.py"
     products = _matrix_products(ast.parse(path.read_text(), str(path)))
     assert products
@@ -82,6 +83,67 @@ def test_guard_sees_matrix_products():
     )
     assert _matrix_products(ast.parse(src)) == [
         (1, ""), (2, ""), (4, "f"), (5, "f"), (8, "g"), (8, "g")
+    ]
+
+
+def _single_precision_uses(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, enclosing function) of each float32, by name, attribute, import
+    or string, and of each 2^24 written as 1 << 24, 2 ** 24 or 16777216;
+    "" at module level."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        name = None
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name
+        elif isinstance(node, ast.Constant):
+            name = node.value
+        if name == "float32" or (type(name) is int and name == 1 << 24):
+            found.append((node.lineno, func))
+        elif (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, (ast.LShift, ast.Pow))
+            and isinstance(node.left, ast.Constant)
+            and isinstance(node.right, ast.Constant)
+            and (node.left.value, node.right.value) in {(1, 24), (2, 24)}
+        ):
+            found.append((node.lineno, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, "")
+    return sorted(found)
+
+
+def test_only_the_field_product_works_in_single_precision():
+    # float32 is exact only while field_matmul's sums stay below 2^24; that
+    # bound is checked where the dtype is chosen, and nowhere else
+    users = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        users |= {(path.name, func) for _, func in _single_precision_uses(tree)}
+    assert users == {("codes.py", "field_matmul")}
+
+
+def test_guard_sees_single_precision_uses():
+    src = (
+        "from numpy import float32\n"
+        "x = a.astype(np.float32)\n"
+        "def f(m):\n"
+        "    return m < 1 << 24\n"
+        "class C:\n"
+        "    def g(self, m):\n"
+        "        return m < 2 ** 24 or m < 16777216, np.dtype('float32')\n"
+        "y = 1 << 53, 2 ** 23, 'float64'\n"
+    )
+    assert _single_precision_uses(ast.parse(src)) == [
+        (1, ""), (2, ""), (4, "f"), (7, "g"), (7, "g"), (7, "g")
     ]
 
 
