@@ -49,7 +49,9 @@ pivot columns, so both products run over the free columns only.  The
 rank of the Gram matrix, k1 - dim(C1 cap C2^perp), is the entanglement
 count c of the EAQECC parameters (Wilde & Brun 2008).  An intersection
 is the relative hull against the memoised dual of the larger code, so
-its Gram matrix is k1 x (n-k2), the smaller of the two choices.
+its Gram matrix is k1 x (n-k2), the smaller of the two choices;
+`intersect_dim` reads the dimension from that matrix's rank, one
+elimination with no basis built.
 `field_matmul` writes A B as sum_t A_t (x^t B) over the e GF(p) digit
 planes A_t of A: one BLAS matmul per plane, against the digits of x^t B
 read from the kernel's shift table, then one reduction mod p.  The sums
@@ -97,8 +99,10 @@ Before each later level it compares what its sets would still need for
 the bound to reach the best weight with the first set alone through
 level k, and goes on with the first set alone when that costs no more:
 low-rate codes, with many information sets and a large weight, would
-otherwise enumerate more than all q^k messages.  The weight and the work
-are kept in the `_min_weight` slot.  `min_weight_excluding` runs the
+otherwise enumerate more than all q^k messages.  The `_min_weight` slot
+keeps the weight, the work and a witness: the first codeword the search
+found at that weight, which `min_weight_word` returns under the same cap
+rules as the weight.  `min_weight_excluding` runs the
 same search and drops the codewords that reduce to zero against the
 subcode; the bound holds for what is left, since every codeword below it
 has been seen.
@@ -108,7 +112,7 @@ It counts the messages of every level a search enters on every set, and
 the search raises before a level would take that count past the cap, so
 at cap 0 it builds no information set and forms no product.  A memoised
 weight whose search counted more than the cap refuses too, and so does a
-refused search, kept as (None, count) in the same slot, for every cap
+refused search, kept as (None, count, None) in the same slot, for every cap
 below the count it refused at.
 """
 
@@ -212,8 +216,9 @@ class LinearCode:
         self.matrix.setflags(write=False)
         self.pivots = pivots
         self._dual: LinearCode | None = None
-        # (weight, messages counted), or (None, count) after a refused search
-        self._min_weight: tuple[int | None, int] | None = None
+        # (weight, messages counted, a word of that weight), or
+        # (None, count, None) after a refused search
+        self._min_weight: tuple[int | None, int, np.ndarray | None] | None = None
 
     @classmethod
     def from_rows(cls, ctx: FieldContext, rows, n: int | None = None) -> LinearCode:
@@ -276,18 +281,22 @@ class LinearCode:
         R, piv = rref(self.ctx, stacked)
         return LinearCode(self.ctx, self.n, R, piv)
 
-    def relative_hull(self, other: LinearCode) -> LinearCode:
-        """C1 cap C2^perp = {m G1 : m G1 G2^T = 0}: N G1, N the left null
-        space of the Gram matrix G1 G2^T.  No dual is eliminated."""
+    def _gram(self, other: LinearCode) -> np.ndarray:
+        """The k1 x k2 Gram matrix G1 G2^T."""
         self._check_compatible(other)
-        ctx, n = self.ctx, self.n
+        ctx = self.ctx
         # G2 is the identity on its pivot columns
-        free2 = _free_columns(n, other.pivots)
+        free2 = _free_columns(self.n, other.pivots)
         gram = field_matmul(ctx, self.matrix[:, free2], other.matrix[:, free2].T)
         # plus G1 on G2's pivots: a + b = a - (0 - b)
         _, sub, _ = kernel_tables(ctx)
-        gram = sub.ravel().take(gram * ctx.q + sub[0].take(self.matrix[:, list(other.pivots)]))
-        null, null_piv = _null_space(ctx, gram.T)
+        return sub.ravel().take(gram * ctx.q + sub[0].take(self.matrix[:, list(other.pivots)]))
+
+    def relative_hull(self, other: LinearCode) -> LinearCode:
+        """C1 cap C2^perp = {m G1 : m G1 G2^T = 0}: N G1, N the left null
+        space of the Gram matrix G1 G2^T.  No dual is eliminated."""
+        ctx, n = self.ctx, self.n
+        null, null_piv = _null_space(ctx, self._gram(other).T)
         # N and G1 are both in RREF, so N G1 is too, with pivots G1's at N's;
         # G1 is the identity on its pivot columns, where N G1 is N itself
         is_free = _free_columns(n, self.pivots)
@@ -296,13 +305,24 @@ class LinearCode:
         NG[:, is_free] = field_matmul(ctx, null, self.matrix[:, is_free])
         return LinearCode(ctx, n, NG, tuple(self.pivots[c] for c in null_piv))
 
-    def intersect(self, other: LinearCode) -> LinearCode:
-        """C1 cap C2 = C1 cap (C2^perp)^perp: the relative hull against C2's dual."""
+    def _as_relative_hull(self, other: LinearCode) -> tuple[LinearCode, LinearCode]:
+        """(A, B) with C1 cap C2 = A cap B^perp = C1 cap (C2^perp)^perp.  The
+        Gram matrix is k1 x (n - k2): smallest with the smaller code first."""
         self._check_compatible(other)
         if other.k < self.k:
-            # the Gram matrix is k1 x (n - k2): smallest with the smaller code first
-            return other.intersect(self)
-        return self.relative_hull(other.dual())
+            return other, self.dual()
+        return self, other.dual()
+
+    def intersect(self, other: LinearCode) -> LinearCode:
+        """C1 cap C2: the relative hull against the dual of the larger code."""
+        a, b = self._as_relative_hull(other)
+        return a.relative_hull(b)
+
+    def intersect_dim(self, other: LinearCode) -> int:
+        """dim(C1 cap C2) = k_A - rank(G_A G_B^T), for the Gram matrix that
+        `intersect` forms: one elimination, and no basis built."""
+        a, b = self._as_relative_hull(other)
+        return a.k - len(rref(a.ctx, a._gram(b))[1])
 
     def hermitian_dual(self, base_q: int) -> LinearCode:
         """Dual under sum(u_i v_i^q) over GF(base_q^2): the dual's image under
@@ -338,6 +358,26 @@ class LinearCode:
 
     # -- minimum weight ---------------------------------------------------------------
 
+    def _weight_search(self, cap: int) -> tuple[int, int, np.ndarray]:
+        """The memoised (weight, messages counted, word) of the search, run
+        first if need be; raises as `min_weight` says."""
+        if self.k == 0:
+            raise ValueError("zero code has no nonzero codeword")
+        memo = self._min_weight
+        if memo is None or (memo[0] is None and memo[1] <= cap):
+            try:
+                weight, work, word = _brouwer_zimmermann(self, cap, floor=1)
+            except EnumerationBudgetError as exc:
+                memo = (None, exc.work, None)
+            else:
+                word = word.astype(np.uint16)
+                word.setflags(write=False)
+                memo = (weight, work, word)
+            self._min_weight = memo
+        if memo[1] > cap:
+            raise EnumerationBudgetError(memo[1], cap)
+        return memo
+
     def min_weight(self, cap: int = DEFAULT_WEIGHT_CAP) -> int:
         """Exact minimum Hamming weight by Brouwer-Zimmermann search (memoised).
 
@@ -346,18 +386,13 @@ class LinearCode:
         memoised too: the search does not depend on the cap, so it runs
         again only for a cap of at least the count it refused at.
         """
-        if self.k == 0:
-            raise ValueError("zero code has no nonzero codeword")
-        memo = self._min_weight
-        if memo is None or (memo[0] is None and memo[1] <= cap):
-            try:
-                self._min_weight = _brouwer_zimmermann(self, cap, floor=1)
-            except EnumerationBudgetError as exc:
-                self._min_weight = (None, exc.work)
-        weight, work = self._min_weight
-        if work > cap:
-            raise EnumerationBudgetError(work, cap)
-        return weight
+        return self._weight_search(cap)[0]
+
+    def min_weight_word(self, cap: int = DEFAULT_WEIGHT_CAP) -> np.ndarray:
+        """A codeword of weight `min_weight(cap)`, read-only: the first the
+        search found at that weight, memoised with it.  Refuses exactly
+        where `min_weight` does."""
+        return self._weight_search(cap)[2]
 
     def min_weight_excluding(
         self, sub: LinearCode, cap: int = DEFAULT_WEIGHT_CAP
@@ -471,9 +506,10 @@ def field_matmul(ctx: FieldContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def _brouwer_zimmermann(
     code: LinearCode, cap: int, floor: int, sub: LinearCode | None = None
-) -> tuple[int, int]:
-    """Minimum weight over the code, or over the code minus `sub`, and the
-    number of messages counted against `cap`.
+) -> tuple[int, int, np.ndarray]:
+    """Minimum weight over the code, or over the code minus `sub`, the
+    number of messages counted against `cap`, and the first codeword found
+    at that weight.
 
     Returns as soon as a block reaches `floor`, a known lower bound.  Each
     information set is [generator, rank, last level enumerated].
@@ -481,7 +517,7 @@ def _brouwer_zimmermann(
     ctx, k, n = code.ctx, code.k, code.n
     sets = [[code.matrix, k, 0]]
     unused = _free_columns(n, code.pivots) & code.matrix.any(axis=0)
-    best, work = n + 1, 0
+    best, work, word = n + 1, 0, None
     for w in range(1, k + 1):
         if w > 1 and _cheaper_to_exhaust(ctx.q, k, w, best, [r for _, r, _ in sets]):
             del sets[1:]
@@ -500,9 +536,12 @@ def _brouwer_zimmermann(
                     if sub is not None:
                         codewords = codewords[sub._reduce_rows(codewords).any(axis=1)]
                     if len(codewords):
-                        best = min(best, int(np.count_nonzero(codewords, axis=1).min()))
+                        weights = np.count_nonzero(codewords, axis=1)
+                        i = int(weights.argmin())
+                        if weights[i] < best:
+                            best, word = int(weights[i]), codewords[i]
                     if best <= floor:
-                        return best, work
+                        return best, work, word
             sets[j][2] = w
             j += 1
             if j == len(sets) and unused.any():
@@ -511,7 +550,7 @@ def _brouwer_zimmermann(
                 sets.append([gen, len(info), 0])
         if best <= sum(max(0, w + 1 - k + r) for _, r, done in sets if done == w):
             break
-    return best, work
+    return best, work, word
 
 
 def _cheaper_to_exhaust(q: int, k: int, w: int, best: int, ranks: list[int]) -> bool:

@@ -8,16 +8,19 @@ c = k - dim(C cap Cperp_h) and kappa = n - 2k + c.  Every c is k minus a
 hull dimension read from the hull modules: `euclidean_hull.hull_dim_with_dual`
 for PRM pairs, `hermitian_hull.hermitian_hull_dim` and `affine_u_size` for
 the Hermitian constructions.  `asym_from_codes` reads c and kappa for any
-pair of codes from the elimination oracle's hull, which `verify` checks the
-PRM closed forms against; it computes no distance.  Euclidean distances are
-the exact weight-formula values dz = wt(C2perp) and dx = wt(C1perp), and a
-pair that is not nested is pure; Hermitian distances are emitted as
-dual-weight lower bounds.
+pair of codes from the elimination oracle's Gram rank, which `verify`
+checks the PRM closed forms against; it computes no distance.  Euclidean
+distances are the exact weight-formula values dz = wt(C2perp) and
+dx = wt(C1perp), and a pair that is not nested is pure; Hermitian
+distances are emitted as dual-weight lower bounds.  `purity_probe` checks
+purity by exact minimum-weight search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .codes import DEFAULT_WEIGHT_CAP, LinearCode
 from .euclidean_hull import hull_dim_with_dual
@@ -51,11 +54,11 @@ class EaqeccParams:
 
 
 def asym_from_codes(c1: LinearCode, c2: LinearCode) -> EaqeccParams:
-    """CSS-type c and kappa for an arbitrary code pair, from the oracle's
-    hull C1 cap C2perp; no distance is computed."""
-    # intersect takes the smaller Gram matrix, and c2's dual of its dual is memoised
-    hull = c1.intersect(c2.dual())
-    c = c1.k - hull.k
+    """CSS-type c and kappa for an arbitrary code pair; no distance is
+    computed.  c = k1 - dim(C1 cap C2perp) is the rank of a Gram matrix,
+    read from one elimination: no basis of the hull is built."""
+    # intersect_dim takes the smaller Gram matrix, and c2's dual of its dual is memoised
+    c = c1.k - c1.intersect_dim(c2.dual())
     kappa = c1.n - (c1.k + c2.k) + c
     return EaqeccParams(base_q=c1.ctx.q, n=c1.n, kappa=kappa, c=c, provenance="oracle")
 
@@ -164,14 +167,28 @@ class PurityReport:
 def purity_probe(
     q: int, d1: int, d2: int, cap: int = DEFAULT_WEIGHT_CAP
 ) -> PurityReport:
-    """Compare wt(PRM_d1) with the minimum weight outside the intersection."""
+    """Compare wt(PRM_d1) with the minimum weight outside the intersection.
+
+    The full search's own minimum-weight word decides the record when it is
+    a certificate: nonzero, in C1, of weight wt(C1) and outside C2.  It then
+    lies outside C1 cap C2, below whose complement in C1 no weight can be,
+    so the weight outside is wt(C1) and the intersection is not all of C1.
+    Otherwise the intersection is built and searched.
+    """
     ctx = field_for_size(q)
-    c1 = prm_code(ctx, 2, d1)
+    c1, c2 = prm_code(ctx, 2, d1), prm_code(ctx, 2, d2)
     # the full-code weight first: at cap 0 it refuses before any
     # intersection is built (the excluding search may need more work)
     wt_full = c1.min_weight(cap=cap)
-    hull = c1.intersect(prm_code(ctx, 2, d2))
-    wt_excl = c1.min_weight_excluding(hull, cap=cap)
+    word = c1.min_weight_word(cap=cap)
+    if (
+        word.any()
+        and c1.contains(word)
+        and np.count_nonzero(word) == wt_full
+        and not c2.contains(word)
+    ):
+        return PurityReport(q, d1, d2, wt_full, wt_full, empty=False)
+    wt_excl = c1.min_weight_excluding(c1.intersect(c2), cap=cap)
     return PurityReport(q, d1, d2, wt_full, wt_excl, empty=wt_excl is None)
 
 

@@ -492,6 +492,39 @@ def test_relative_hull_matches_whole_row_reference(case):
             assert c.relative_hull(frob) == c.intersect(c.hermitian_dual(base_q))
 
 
+def _random_code_pairs(q, seed=0):
+    """Random pairs of codes over GF(q) with k1 + k2 below, at and above n,
+    each also swapped, so that `intersect` forms both Gram orientations;
+    the zero and whole codes included."""
+    ctx = field_for_size(q)
+    rng = random.Random(seed)
+    for n in (1, 4, 7, 10):
+        for k1 in sorted({0, 1, n // 2, n - 1, n}):
+            for k2 in sorted({0, 1, (n + 1) // 2, n}):
+                a, b = (
+                    _random_code(ctx, rng, k, n) if k else LinearCode.from_rows(ctx, [], n=n)
+                    for k in (k1, k2)
+                )
+                yield a, b
+                yield b, a
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_rank_dimensions_match_the_built_hull_and_intersection(q):
+    from prmhull.quantum import asym_from_codes
+
+    orientations = set()
+    for a, b in _random_code_pairs(q):
+        assert a.intersect_dim(b) == a.intersect(b).k == b.intersect_dim(a)
+        assert a.intersect_dim(b.dual()) == a.relative_hull(b).k
+        orientations.add(b.k < a.k)
+        # c from the Gram rank is k1 less the built hull's dimension
+        p = asym_from_codes(a, b)
+        c = a.k - a.intersect(b.dual()).k
+        assert (p.c, p.kappa) == (c, a.n - (a.k + b.k) + c)
+    assert orientations == {True, False}
+
+
 @st.composite
 def _codes_on_both_sides_of_half_length(draw):
     q = draw(st.sampled_from([2, 3, 4, 5, 8, 9, 16]))
@@ -918,6 +951,82 @@ def test_refused_min_weight_searches_again_only_for_a_cap_past_its_count(monkeyp
     assert c.min_weight(cap=6) == 4
     assert c.min_weight(cap=100) == 4
     assert searches == [0, 3, 6]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_min_weight_word_is_a_nonzero_codeword_of_the_minimum_weight(q):
+    ctx = field_for_size(q)
+    rng = random.Random(q)
+    for k, n in [(1, 4), (2, 6), (3, 7), (4, 9)]:
+        c = _random_code(ctx, rng, k, n)
+        word = c.min_weight_word()
+        assert word.shape == (c.n,) and not word.flags.writeable
+        assert word.any() and c.contains(word)
+        assert int(np.count_nonzero(word)) == c.min_weight() == _brute_min_weight(ctx, c)
+
+
+def test_min_weight_word_is_memoised_with_the_weight(monkeypatch):
+    from prmhull import codes
+
+    ctx = field_for_size(5)
+    first, second = (_random_code(ctx, random.Random(7), 3, 8) for _ in range(2))
+    w = first.min_weight()
+    word = second.min_weight_word()
+
+    def no_scan(*_args, **_kwargs):
+        raise AssertionError("_brouwer_zimmermann called")
+
+    monkeypatch.setattr(codes, "_brouwer_zimmermann", no_scan)
+    # either accessor's search serves the other
+    assert first.min_weight_word() is first.min_weight_word()
+    assert int(np.count_nonzero(first.min_weight_word())) == w
+    assert second.min_weight() == w
+    assert second.min_weight_word() is word
+
+
+def _outcome(call):
+    """("weight", w) or ("refused", message) of one accessor call."""
+    try:
+        got = call()
+    except EnumerationBudgetError as exc:
+        return "refused", str(exc)
+    return "weight", got if isinstance(got, int) else int(np.count_nonzero(got))
+
+
+@pytest.mark.parametrize(
+    "make, caps",
+    [
+        # the cases of test_min_weight_budget
+        (lambda: LinearCode.from_rows(field_for_size(9), np.eye(12, dtype=int)), [12]),
+        (lambda: LinearCode.from_rows(field_for_size(9), np.eye(12, dtype=int)), [11]),
+        # of test_memoised_min_weight_still_refuses_over_cap
+        (lambda: _random_code(field_for_size(4), random.Random(8), 3, 7), [6]),
+        (lambda: _random_code(field_for_size(4), random.Random(8), 3, 7), [5]),
+        (lambda: _random_code(field_for_size(4), random.Random(8), 3, 7), [20_000_000, 6, 5, 0]),
+        # of test_refused_min_weight_searches_again_only_for_a_cap_past_its_count
+        (
+            lambda: _random_code(field_for_size(4), random.Random(8), 3, 7),
+            [0, 0, 2, 3, 5, 3, 6, 100],
+        ),
+    ],
+)
+def test_min_weight_word_refuses_exactly_where_min_weight_does(monkeypatch, make, caps):
+    from prmhull import codes
+
+    searches = {}
+    real = codes._brouwer_zimmermann
+
+    def counted(*args, **kwargs):
+        searches.setdefault(id(args[0]), []).append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(codes, "_brouwer_zimmermann", counted)
+    by_weight, by_word = make(), make()
+    for cap in caps:
+        assert _outcome(lambda: by_word.min_weight_word(cap=cap)) == _outcome(
+            lambda: by_weight.min_weight(cap=cap)
+        ), cap
+    assert searches[id(by_word)] == searches[id(by_weight)]
 
 
 def test_min_weight_excluding_refuses_exactly_past_its_own_count():

@@ -1,10 +1,12 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from prmhull.fields import field_for_size
 from prmhull.prm import prm_code, prm_params, rm_params
 from prmhull.quantum import (
+    PurityReport,
     asym_from_codes,
     asym_table_rows,
     herm_eaqecc_prm,
@@ -202,25 +204,26 @@ def test_asym_from_codes_degenerate_full_code():
     assert p.c == 4 and p.kappa == 0
 
 
-def test_asym_from_codes_builds_only_the_hull(monkeypatch):
-    # c and kappa need one intersection; no weight is searched for
+def test_asym_from_codes_takes_only_a_gram_rank(monkeypatch):
+    # c and kappa need one Gram rank; no hull basis is built and no weight
+    # is searched for
     from prmhull.codes import LinearCode
 
     ctx = field_for_size(4)
     c1, c2 = prm_code(ctx, 2, 1), prm_code(ctx, 2, 4)
     calls = []
-    real = LinearCode.intersect
+    real = LinearCode.intersect_dim
 
     def counting(self, other):
         calls.append((self, other))
         return real(self, other)
 
-    def no_weight(*_args, **_kwargs):
-        raise AssertionError("minimum weight searched")
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("hull basis built or minimum weight searched")
 
-    monkeypatch.setattr(LinearCode, "intersect", counting)
-    monkeypatch.setattr(LinearCode, "min_weight", no_weight)
-    monkeypatch.setattr(LinearCode, "min_weight_excluding", no_weight)
+    monkeypatch.setattr(LinearCode, "intersect_dim", counting)
+    for name in ("intersect", "relative_hull", "min_weight", "min_weight_excluding"):
+        monkeypatch.setattr(LinearCode, name, refuse)
     p = asym_from_codes(c1, c2)
     assert p.c == prm_asym_eaqecc(4, 1, 4).c
     assert (p.delta_z, p.delta_x, p.pure) == (None, None, None)
@@ -236,6 +239,84 @@ def test_asym_distances_are_the_dual_weights(q):
         p = prm_asym_eaqecc(q, d1, d2)
         dual_weight = {d: prm_code(ctx, 2, d).dual().min_weight() for d in (d1, d2)}
         assert (p.delta_z, p.delta_x) == (dual_weight[d2], dual_weight[d1]), (d1, d2)
+
+
+def _probed_pairs(q):
+    """The pairs `verify.purity_sweep` probes: degrees not congruent mod q-1."""
+    degrees = range(1, 2 * (q - 1) + 1)
+    return [(d1, d2) for d1 in degrees for d2 in degrees if (d1 - d2) % (q - 1)]
+
+
+def _searched_report(q, d1, d2):
+    """The report of the excluding search on the built intersection."""
+    ctx = field_for_size(q)
+    c1, c2 = prm_code(ctx, 2, d1), prm_code(ctx, 2, d2)
+    wt_excl = c1.min_weight_excluding(c1.intersect(c2))
+    return PurityReport(q, d1, d2, c1.min_weight(), wt_excl, empty=wt_excl is None)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_purity_probe_decides_each_probed_pair_by_its_certificate(monkeypatch, q):
+    from prmhull.codes import LinearCode
+
+    expected = {pair: _searched_report(q, *pair) for pair in _probed_pairs(q)}
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("intersection built or searched")
+
+    monkeypatch.setattr(LinearCode, "intersect", refuse)
+    monkeypatch.setattr(LinearCode, "min_weight_excluding", refuse)
+    for pair, report in expected.items():
+        assert purity_probe(q, *pair) == report, pair
+
+
+def _planted_words(q, d1, d2):
+    """Words that each fail one check of the certificate and pass the others
+    (nonzero, in C1, of weight wt(C1), outside C2), and the zero word, which
+    is in C1 only."""
+    ctx = field_for_size(q)
+    c1, c2 = prm_code(ctx, 2, d1), prm_code(ctx, 2, d2)
+    w = c1.min_weight()
+    outside = c1.min_weight_word().copy()
+    outside[np.flatnonzero(outside == 0)[0]] = 1
+    outside[np.flatnonzero(outside)[-1]] = 0
+    words = {
+        "zero": np.zeros(c1.n, dtype=np.uint16),
+        "in C2": c1.intersect(c2).min_weight_word(),
+        "wrong weight": next(
+            r for r in c1.matrix if np.count_nonzero(r) != w and not c2.contains(r)
+        ),
+        "outside C1": outside,
+    }
+    for name, word in words.items():
+        checks = {
+            "zero": word.any(),
+            "outside C1": c1.contains(word),
+            "wrong weight": np.count_nonzero(word) == w,
+            "in C2": not c2.contains(word),
+        }
+        failed = [check for check, ok in checks.items() if not ok]
+        assert failed == (["zero", "wrong weight", "in C2"] if name == "zero" else [name])
+    return words
+
+
+@pytest.mark.parametrize("planted", ["zero", "in C2", "wrong weight", "outside C1"])
+@pytest.mark.parametrize("q, d1, d2", [(3, 3, 4), (4, 2, 4), (4, 4, 5)])
+def test_purity_probe_falls_back_to_the_search_on_a_bad_word(monkeypatch, q, d1, d2, planted):
+    from prmhull.codes import LinearCode
+
+    word = _planted_words(q, d1, d2)[planted]
+    searched = []
+    real = LinearCode.min_weight_excluding
+
+    def counted(self, *args, **kwargs):
+        searched.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinearCode, "min_weight_word", lambda self, cap=None: word)
+    monkeypatch.setattr(LinearCode, "min_weight_excluding", counted)
+    assert purity_probe(q, d1, d2) == _searched_report(q, d1, d2)
+    assert len(searched) == 2  # the probe's fallback, then the reference's search
 
 
 def test_purity_probe_zero_cap_builds_no_intersection(monkeypatch):

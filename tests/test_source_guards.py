@@ -147,12 +147,12 @@ def test_guard_sees_single_precision_uses():
     ]
 
 
-WEIGHT_SEARCHES = {"min_weight", "min_weight_excluding"}
+WEIGHT_SEARCHES = {"min_weight", "min_weight_excluding", "min_weight_word"}
 
 
 def _weight_searches(tree: ast.AST) -> list[tuple[int, str]]:
-    """(line, enclosing function) of each attribute or name min_weight and
-    min_weight_excluding; "" at module level."""
+    """(line, enclosing function) of each attribute or name in
+    WEIGHT_SEARCHES; "" at module level."""
     found = []
 
     def visit(node, func):
@@ -171,7 +171,8 @@ def _weight_searches(tree: ast.AST) -> list[tuple[int, str]]:
 
 def test_only_the_purity_probe_searches_for_a_minimum_weight():
     # every emitted distance is a closed form; the one enumeration outside
-    # the kernel is the purity probe, which a cap bounds
+    # the kernel is the purity probe, which a cap bounds, and the search's
+    # minimum-weight word serves only as its certificate
     callers = set()
     for path in sorted(SRC.glob("*.py")):
         if path.name != "codes.py":
@@ -189,8 +190,12 @@ def test_guard_sees_weight_searches():
         "    def g(self):\n"
         "        search = self.min_weight\n"
         "        return min_weight(search), self._min_weight, 'min_weight'\n"
+        "def h(c):\n"
+        "    return c.min_weight_word(cap=0), min_weight_word\n"
     )
-    assert _weight_searches(ast.parse(src)) == [(1, ""), (3, "f"), (6, "g"), (7, "g")]
+    assert _weight_searches(ast.parse(src)) == [
+        (1, ""), (3, "f"), (6, "g"), (7, "g"), (9, "h"), (9, "h")
+    ]
 
 
 # the field keeps its digit rows and log/antilog pair; the elimination
