@@ -24,9 +24,7 @@ the current row.
 A code's dual is computed once and kept in its `_dual` slot.  The memo
 points one way only: a dual never refers back to the code it came from,
 so codes form no reference cycles and are freed as soon as they are
-unreachable.  Since C^perp^perp = C, the dual's own dual is pre-set to a
-fresh code sharing this code's read-only matrix, so `intersect(C,
-D.dual())` never eliminates D^perp^perp again.
+unreachable.  No intersection or relative hull reads it.
 
 A check matrix is written down directly from a generator that is the
 identity on its pivot columns: identity on the free columns, negated
@@ -47,11 +45,16 @@ N G1 is too, with G1's pivots at N's; no dual is built and no
 elimination of length n runs.  G2 and G1 are the identity on their
 pivot columns, so both products run over the free columns only.  The
 rank of the Gram matrix, k1 - dim(C1 cap C2^perp), is the entanglement
-count c of the EAQECC parameters (Wilde & Brun 2008).  An intersection
-is the relative hull against the memoised dual of the larger code, so
-its Gram matrix is k1 x (n-k2), the smaller of the two choices;
-`intersect_dim` reads the dimension from that matrix's rank, one
-elimination with no basis built.
+count c of the EAQECC parameters (Wilde & Brun 2008).
+
+An intersection is taken by membership, with no dual: reduction against
+a code B is linear, so m G_A lies in B exactly when m M = 0, for M the
+generator G_A reduced against B (see membership below).  A cap B is N
+G_A, N the left null space of M, embedded as the relative hull embeds
+its own, and dim(A cap B) = k_A - rank M, one elimination with no basis
+built.  M is k_A x (n - k_B), so with A the smaller code it is the
+smaller of the two choices.
+
 `field_matmul` writes A B as sum_t A_t (x^t B) over the e GF(p) digit
 planes A_t of A: one BLAS matmul per plane, against the digits of x^t B
 read from the kernel's shift table, then one reduction mod p.  The sums
@@ -263,10 +266,7 @@ class LinearCode:
             else:
                 H, _ = _check_matrix(ctx, self.matrix, self.pivots)
                 R, piv = rref(ctx, H)
-            dual = LinearCode(ctx, self.n, R, piv)
-            # a fresh code sharing the read-only matrix: no cycle forms
-            dual._dual = LinearCode(ctx, self.n, self.matrix, self.pivots)
-            self._dual = dual
+            self._dual = LinearCode(ctx, self.n, R, piv)
         return self._dual
 
     def _check_compatible(self, other: LinearCode) -> None:
@@ -295,34 +295,36 @@ class LinearCode:
     def relative_hull(self, other: LinearCode) -> LinearCode:
         """C1 cap C2^perp = {m G1 : m G1 G2^T = 0}: N G1, N the left null
         space of the Gram matrix G1 G2^T.  No dual is eliminated."""
+        return self._span_of(*_null_space(self.ctx, self._gram(other).T))
+
+    def _span_of(self, null: np.ndarray, null_piv: tuple) -> LinearCode:
+        """The code of N G, for N in RREF with pivots `null_piv`."""
         ctx, n = self.ctx, self.n
-        null, null_piv = _null_space(ctx, self._gram(other).T)
-        # N and G1 are both in RREF, so N G1 is too, with pivots G1's at N's;
-        # G1 is the identity on its pivot columns, where N G1 is N itself
+        # N and G are both in RREF, so N G is too, with pivots G's at N's;
+        # G is the identity on its pivot columns, where N G is N itself
         is_free = _free_columns(n, self.pivots)
         NG = np.empty((len(null), n), dtype=np.int64)
         NG[:, list(self.pivots)] = null
         NG[:, is_free] = field_matmul(ctx, null, self.matrix[:, is_free])
         return LinearCode(ctx, n, NG, tuple(self.pivots[c] for c in null_piv))
 
-    def _as_relative_hull(self, other: LinearCode) -> tuple[LinearCode, LinearCode]:
-        """(A, B) with C1 cap C2 = A cap B^perp = C1 cap (C2^perp)^perp.  The
-        Gram matrix is k1 x (n - k2): smallest with the smaller code first."""
+    def _smaller_first(self, other: LinearCode) -> tuple[LinearCode, LinearCode]:
+        """(A, B), the two codes with A the smaller: A's generator reduced
+        against B is k_A x (n - k_B), the smaller of the two choices."""
         self._check_compatible(other)
-        if other.k < self.k:
-            return other, self.dual()
-        return self, other.dual()
+        return (other, self) if other.k < self.k else (self, other)
 
     def intersect(self, other: LinearCode) -> LinearCode:
-        """C1 cap C2: the relative hull against the dual of the larger code."""
-        a, b = self._as_relative_hull(other)
-        return a.relative_hull(b)
+        """C1 cap C2 = {m G_A : m M = 0}, M = G_A reduced against B: N G_A,
+        N the left null space of M.  No dual is eliminated."""
+        a, b = self._smaller_first(other)
+        return a._span_of(*_null_space(a.ctx, b._reduce_rows(a.matrix).T))
 
     def intersect_dim(self, other: LinearCode) -> int:
-        """dim(C1 cap C2) = k_A - rank(G_A G_B^T), for the Gram matrix that
-        `intersect` forms: one elimination, and no basis built."""
-        a, b = self._as_relative_hull(other)
-        return a.k - len(rref(a.ctx, a._gram(b))[1])
+        """dim(C1 cap C2) = k_A - rank M, for the matrix M that `intersect`
+        reduces: one elimination, and no basis built."""
+        a, b = self._smaller_first(other)
+        return a.k - len(rref(a.ctx, b._reduce_rows(a.matrix))[1])
 
     def hermitian_dual(self, base_q: int) -> LinearCode:
         """Dual under sum(u_i v_i^q) over GF(base_q^2): the dual's image under

@@ -14,14 +14,13 @@ dual of C2 to be another PRM code, which fails exactly at degree q-1:
 CLI refuses it unless asked for the bare intersection.
 
 `verify_relative_hulls` checks the bases of one d1 against every partner
-d2 at once, with no intersection built: dim(C1 cap C2) = k1 - rank(G1 H2^T)
-and B lies in C1 cap C2 iff B lies in C1 and B H2^T = 0, for H2 the
-memoised dual of C2.  The partners that share one A_1 part share its
-span, evaluations and reductions, and their H2^T are stacked into products
-of at most OPERAND_BLOCK digit cells, the block budget of `field_matmul`.
-The span is not kept: a sweep visits each d1 once.
-`hull_oracle` builds the intersection itself; the tests take it as the
-reference.
+d2 at once, by membership, with no intersection or dual built: with M
+the generator G1 reduced against C2, dim(C1 cap C2) = k1 - rank M, and B
+lies in C1 cap C2 iff B lies in C1 and reduces to zero against C2.  The
+partners that share one A_1 part share its span, evaluations and
+reductions against C1; the span is not kept, since a sweep visits each
+d1 once.  `hull_oracle` builds the intersection itself, by the same
+membership identity in `LinearCode.intersect`.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codes import OPERAND_BLOCK, LinearCode, field_matmul, rref
+from .codes import LinearCode, rref
 from .fields import field_for_size
 from .polynomials import (
     Monomial,
@@ -252,24 +251,24 @@ def verify_relative_hulls(q: int, d1: int, d2s) -> list[HullCheck]:
     """Closed form vs oracle for PRM_d1 cap PRM_d2 at each partner d2 >= d1,
     in order: the dimensions are equal and the basis B spans exactly.
 
-    With G1 the generator of C1 = PRM_d1 and H2 the memoised dual of
-    C2 = PRM_d2, no intersection is built:
-    - dim(C1 cap C2) = k1 - rank(G1 H2^T), the Gram matrix that
-      `LinearCode.relative_hull` forms;
-    - B lies in C1 cap C2 exactly when B lies in C1 and B H2^T = 0.
+    No intersection and no dual is built.  A row lies in C2 = PRM_d2 iff it
+    reduces to zero against C2, and reduction is linear, so with M the
+    generator G1 of C1 = PRM_d1 reduced against C2:
+    - dim(C1 cap C2) = k1 - rank M, the identity `LinearCode.intersect`
+      uses;
+    - B lies in C1 cap C2 exactly when it lies in C1 and reduces to zero
+      against C2.
     B spans the intersection iff it lies in it and rank B is its dimension.
     B is A_1 plus at most q rows R, so rank B is dim span(A_1) plus the
     rank of R reduced against span(A_1).
 
     The partners whose bases share one A_1 part form a group: in the closed
     form that is all of them.  A group eliminates its A_1 evaluations once,
-    its one elimination of length n, evaluates its rows R in one call,
-    reduces [span(A_1); R] against C1 and R against span(A_1) once each, and
-    multiplies [G1; span(A_1); R] by the stacked H2^T of a chunk of its
-    partners at a time.  A chunk's digit operand and accumulator hold at
-    most OPERAND_BLOCK cells, the budget of a `field_matmul` block, or it
-    is one partner.  Each pair is left with two ranks, of its Gram block
-    and of its reduced rows, and no elimination of length n.
+    its one elimination of length n, evaluates its rows R in one call, and
+    reduces [span(A_1); R] against C1 and R against span(A_1) once each.
+    Each partner then reduces [G1; span(A_1); its own rows of R] against
+    C2 in one call, and is left with two ranks, of M and of its reduced
+    rows, and no elimination of length n.
     """
     ctx = field_for_size(q)
     d2s = list(d2s)
@@ -287,57 +286,29 @@ def verify_relative_hulls(q: int, d1: int, d2s) -> list[HullCheck]:
         a1 = LinearCode.from_rows(ctx, evaluate_monomials(ctx, pts, part_a1))
         rests = [bases[i].past_a1() for i in members]
         rows = evaluate_polynomials(ctx, pts, [f for rest in rests for f in rest])
-        ends = list(itertools.accumulate(len(rest) for rest in rests))
-        own = [slice(end - len(rest), end) for rest, end in zip(rests, ends)]
+        ends = itertools.accumulate(len(rest) for rest in rests)
         # nonzero exactly on the rows of [span(A_1); R] outside C1
         outside_c1 = c1._reduce_rows(np.vstack([a1.matrix, rows])).any(axis=1)
         a1_outside, rows_outside = outside_c1[: a1.k].any(), outside_c1[a1.k :]
         reduced = a1._reduce_rows(rows)
-        duals = [prm_code(ctx, 2, d2s[i]).dual().matrix for i in members]
-        # digit cells per column of H2^T: n in the operand, the rows in the accumulator
-        depth = ctx.e * (c1.n + k1 + a1.k + len(rows))
-        for chunk in _chunks([depth * len(h) for h in duals]):
-            lo = own[chunk[0]].start
-            lhs = np.vstack([c1.matrix, a1.matrix, rows[lo : own[chunk[-1]].stop]])
-            product = field_matmul(ctx, lhs, np.vstack([duals[j] for j in chunk]).T)
-            col = 0
-            for j in chunk:
-                block = product[:, col : col + len(duals[j])]
-                col += len(duals[j])
-                mine = slice(k1 + a1.k + own[j].start - lo, k1 + a1.k + own[j].stop - lo)
-                contained = not (
-                    a1_outside
-                    or rows_outside[own[j]].any()
-                    or block[k1 : k1 + a1.k].any()
-                    or block[mine].any()
-                )
-                oracle_dim = k1 - len(rref(ctx, block[:k1])[1])
-                rank = a1.k + len(rref(ctx, reduced[own[j]])[1])
-                i = members[j]
-                checks[i] = HullCheck(
-                    q,
-                    d1,
-                    d2s[i],
-                    formula_dim=relative_hull_dim(q, d1, d2s[i]),
-                    basis_size=bases[i].dimension,
-                    oracle_dim=oracle_dim,
-                    basis_spans=contained and rank == oracle_dim,
-                )
+        for i, rest, end in zip(members, rests, ends):
+            own = slice(end - len(rest), end)
+            c2 = prm_code(ctx, 2, d2s[i])
+            # M on top, then what must reduce to zero against C2
+            against_c2 = c2._reduce_rows(np.vstack([c1.matrix, a1.matrix, rows[own]]))
+            contained = not (a1_outside or rows_outside[own].any() or against_c2[k1:].any())
+            oracle_dim = k1 - len(rref(ctx, against_c2[:k1])[1])
+            rank = a1.k + len(rref(ctx, reduced[own])[1])
+            checks[i] = HullCheck(
+                q,
+                d1,
+                d2s[i],
+                formula_dim=relative_hull_dim(q, d1, d2s[i]),
+                basis_size=bases[i].dimension,
+                oracle_dim=oracle_dim,
+                basis_spans=contained and rank == oracle_dim,
+            )
     return [checks[i] for i in range(len(bases))]
-
-
-def _chunks(cells: list[int]) -> list[list[int]]:
-    """Consecutive runs of indices whose cells sum to at most OPERAND_BLOCK,
-    one index alone when it is larger."""
-    chunks: list[list[int]] = []
-    total = OPERAND_BLOCK
-    for i, size in enumerate(cells):
-        if total + size > OPERAND_BLOCK:
-            chunks.append([])
-            total = 0
-        chunks[-1].append(i)
-        total += size
-    return chunks
 
 
 def extended_dual_hull_oracle(q: int, d1: int, d2: int) -> LinearCode:

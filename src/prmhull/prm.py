@@ -27,8 +27,9 @@ from .points import PointSet, affine_points, projective_points
 from .polynomials import evaluate_monomials, grlex_key
 
 
-# Each cached code keeps its memoised dual alive, so the code caches are
-# bounded.  `verify all` builds 60 PRM codes and no RM code; it evicts none.
+# Each cached code keeps alive its memoised dual, which only
+# `quantum.asym_from_codes` builds, and its weight memo, so the code caches
+# are bounded.  `verify all` builds 60 PRM codes and no RM code; it evicts none.
 CODE_CACHE_SIZE = 128
 
 

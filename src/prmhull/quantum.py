@@ -8,7 +8,7 @@ c = k - dim(C cap Cperp_h) and kappa = n - 2k + c.  Every c is k minus a
 hull dimension read from the hull modules: `euclidean_hull.hull_dim_with_dual`
 for PRM pairs, `hermitian_hull.hermitian_hull_dim` and `affine_u_size` for
 the Hermitian constructions.  `asym_from_codes` reads c and kappa for any
-pair of codes from the elimination oracle's Gram rank, which `verify`
+pair of codes from the rank of one oracle elimination, which `verify`
 checks the PRM closed forms against; it computes no distance.  Euclidean
 distances are the exact weight-formula values dz = wt(C2perp) and
 dx = wt(C1perp), and a pair that is not nested is pure; Hermitian
@@ -55,9 +55,10 @@ class EaqeccParams:
 
 def asym_from_codes(c1: LinearCode, c2: LinearCode) -> EaqeccParams:
     """CSS-type c and kappa for an arbitrary code pair; no distance is
-    computed.  c = k1 - dim(C1 cap C2perp) is the rank of a Gram matrix,
-    read from one elimination: no basis of the hull is built."""
-    # intersect_dim takes the smaller Gram matrix, and c2's dual of its dual is memoised
+    computed.  c = k1 - dim(C1 cap C2perp) is read from the rank of one
+    elimination: no basis of the hull is built."""
+    # C1 cap C2perp by membership in c2's memoised dual: the one dual `verify`
+    # builds, since C2perp is the code the construction reads
     c = c1.k - c1.intersect_dim(c2.dual())
     kappa = c1.n - (c1.k + c2.k) + c
     return EaqeccParams(base_q=c1.ctx.q, n=c1.n, kappa=kappa, c=c, provenance="oracle")

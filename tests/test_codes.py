@@ -494,8 +494,8 @@ def test_relative_hull_matches_whole_row_reference(case):
 
 def _random_code_pairs(q, seed=0):
     """Random pairs of codes over GF(q) with k1 + k2 below, at and above n,
-    each also swapped, so that `intersect` forms both Gram orientations;
-    the zero and whole codes included."""
+    each also swapped, so that `intersect` reduces the smaller code first
+    from either side; the zero and whole codes included."""
     ctx = field_for_size(q)
     rng = random.Random(seed)
     for n in (1, 4, 7, 10):
@@ -523,6 +523,44 @@ def test_rank_dimensions_match_the_built_hull_and_intersection(q):
         c = a.k - a.intersect(b.dual()).k
         assert (p.c, p.kappa) == (c, a.n - (a.k + b.k) + c)
     assert orientations == {True, False}
+
+
+def _no_dual(self):
+    raise AssertionError("dual() called")
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_no_intersection_needs_a_dual(q, monkeypatch):
+    # membership alone: m G_A lies in B iff m times G_A reduced against B is 0
+    monkeypatch.setattr(LinearCode, "dual", _no_dual)
+    for a, b in _random_code_pairs(q):
+        reference = _reference_intersect(a, b)
+        assert _same(a.intersect(b), reference)
+        assert a.intersect_dim(b) == len(reference[0])
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 9])
+def test_the_euclidean_sweep_needs_no_dual(q, monkeypatch):
+    from prmhull.verify import euclid_sweep
+
+    records = euclid_sweep(q)
+    monkeypatch.setattr(LinearCode, "dual", _no_dual)
+    assert euclid_sweep(q) == records
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_batched_oracle_dim_matches_the_reference_intersection(q):
+    # verify_relative_hulls and hull_oracle share the membership identity, so
+    # the batched dimension is pinned against the whole-row reference kernel
+    from prmhull.euclidean_hull import verify_relative_hulls
+    from prmhull.prm import prm_code
+
+    ctx = field_for_size(q)
+    top = 2 * (q - 1)
+    for d1 in range(1, top + 1):
+        for chk in verify_relative_hulls(q, d1, range(d1, top + 1)):
+            reference = _reference_intersect(prm_code(ctx, 2, d1), prm_code(ctx, 2, chk.d2))
+            assert chk.oracle_dim == len(reference[0]), chk
 
 
 @st.composite
@@ -754,21 +792,6 @@ def test_dual_memo_makes_no_reference_cycle():
         assert [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()
-
-
-def test_dual_of_dual_needs_no_elimination(monkeypatch):
-    from prmhull import codes
-
-    ctx = field_for_size(9)
-    c = _random_code(ctx, random.Random(5), 3, 8)
-    d = c.dual()
-
-    def no_rref(*_args, **_kwargs):
-        raise AssertionError("rref called")
-
-    monkeypatch.setattr(codes, "rref", no_rref)
-    assert d.dual() == c
-    assert d.dual() is not c  # a fresh code: the memo stays one-way
 
 
 def test_dual_memo_shared_between_threads():

@@ -282,8 +282,9 @@ def test_coordinate_check_refuses_broken_bases(q, d1, d2, monkeypatch):
 
 
 def test_one_batched_call_runs_one_length_n_elimination(monkeypatch):
-    # the partners of one d1 share the span of A_1^{d1}; with every code and
-    # dual warm, it is the one elimination of length n the whole call runs
+    # the partners of one d1 share the span of A_1^{d1}; with every code warm
+    # and no dual built, it is the one elimination of length n the whole
+    # call runs
     from prmhull import codes, euclidean_hull, prm
 
     q, d1 = 9, 9
@@ -291,8 +292,9 @@ def test_one_batched_call_runs_one_length_n_elimination(monkeypatch):
     n = len(projective_points(ctx, 2))
     assert n == 91
     partners = range(d1, 2 * (q - 1) + 1)
+    prm.prm_code.cache_clear()  # fresh codes, no memoised dual
     for d in partners:
-        prm_code(ctx, 2, d).dual()
+        prm_code(ctx, 2, d)
     widths = []
     real = codes.rref
 
@@ -312,7 +314,7 @@ def _partners(q, d1):
 
 @pytest.mark.parametrize("q, d1s", [(2, None), (3, None), (4, None), (5, None), (9, [9])])
 def test_batched_oracle_dim_is_the_intersection_dimension(q, d1s):
-    # k1 - rank(G1 H2^T) against the elimination oracle's intersection
+    # k1 - rank(G1 reduced against C2) against the elimination oracle's intersection
     for d1 in d1s or range(1, 2 * (q - 1) + 1):
         checks = verify_relative_hulls(q, d1, _partners(q, d1))
         assert [(c.d1, c.d2) for c in checks] == [(d1, d2) for d2 in _partners(q, d1)]
@@ -324,38 +326,6 @@ def test_batched_check_refuses_a_partner_below_d1():
     with pytest.raises(ValueError, match="at least d1"):
         verify_relative_hulls(4, 3, [3, 2])
     assert verify_relative_hulls(4, 3, []) == []
-
-
-def test_chunks_hold_at_most_the_budget(monkeypatch):
-    from prmhull import euclidean_hull
-
-    monkeypatch.setattr(euclidean_hull, "OPERAND_BLOCK", 6)
-    assert euclidean_hull._chunks([3, 3, 1, 9, 2, 4, 6]) == [[0, 1], [2], [3], [4, 5], [6]]
-    assert euclidean_hull._chunks([]) == []
-
-
-@pytest.mark.parametrize("q", [3, 4, 5, 9])
-def test_records_are_the_same_with_one_chunk_per_partner(q, monkeypatch):
-    from prmhull import euclidean_hull
-
-    whole = {d1: verify_relative_hulls(q, d1, _partners(q, d1)) for d1 in range(1, 2 * q - 1)}
-    products = []
-    real = euclidean_hull.field_matmul
-
-    def counted(ctx, A, B):
-        products.append(B.shape[1])
-        return real(ctx, A, B)
-
-    monkeypatch.setattr(euclidean_hull, "field_matmul", counted)
-    for d1, checks in whole.items():
-        products.clear()
-        assert verify_relative_hulls(q, d1, _partners(q, d1)) == checks
-        assert len(products) == 1  # every partner in one chunk at the default budget
-    monkeypatch.setattr(euclidean_hull, "OPERAND_BLOCK", 1)
-    for d1, checks in whole.items():
-        products.clear()
-        assert verify_relative_hulls(q, d1, _partners(q, d1)) == checks
-        assert len(products) == len(checks)
 
 
 def _more_broken_bases(q, d1, d2):

@@ -425,3 +425,49 @@ def test_guard_sees_point_set_uses():
         "        return evaluate(ctx, build(ctx, 2), [])\n"
     )
     assert _point_set_uses(ast.parse(src)) == [(2, ""), (4, "f"), (7, "g")]
+
+
+def _dual_uses(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, enclosing scope) of each `.dual` attribute, called or passed on;
+    the scope is dotted through classes and functions, "" at module level."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Attribute) and node.attr == "dual":
+            found.append((node.lineno, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return sorted(found)
+
+
+def test_only_the_asymmetric_oracle_and_the_hermitian_dual_take_a_dual():
+    # intersections and relative hulls are taken by membership and Gram
+    # ranks; a dual is eliminated only where it is the object computed:
+    # C2perp in asym_from_codes, and the Frobenius image of the dual
+    users = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        users |= {(path.name, scope) for _, scope in _dual_uses(tree)}
+    assert users == {("codes.py", "LinearCode.hermitian_dual"), ("quantum.py", "asym_from_codes")}
+
+
+def test_guard_sees_dual_uses():
+    src = (
+        "d = code.dual()\n"
+        "def f(c):\n"
+        "    return c.dual().k, c._dual, dual(c)\n"
+        "class C:\n"
+        "    def dual(self):\n"
+        "        return self.dual\n"
+        "    def g(self, codes):\n"
+        "        def h(c):\n"
+        "            return c.dual().dual()\n"
+        "        return map(LinearCode.dual, codes), 'dual'\n"
+    )
+    assert _dual_uses(ast.parse(src)) == [
+        (1, ""), (3, "f"), (6, "C.dual"), (9, "C.g.h"), (9, "C.g.h"), (10, "C.g")
+    ]
