@@ -4,22 +4,24 @@ minimum weight by the Brouwer-Zimmermann search.
 
 A LinearCode is its RREF generator matrix (zero rows dropped), which is
 the canonical representative of the row space: two codes are equal iff
-their matrices are identical.  The field keeps only its digit rows and
-log/antilog pair; `kernel_tables` builds from them, once per field and on
-first use, the three tables the kernel reads: the q x q `mul` and `sub`
-that vectorize the row operations of `rref`, and the e x q x e `shift`
-of `field_matmul`.  Every other operation is written with those: a
-negation is a row of `sub` (-b = 0 - b), a sum a - (0 - b), and the one
-inverse per pivot is read from the log/antilog pair.  The tables need
-q <= TABLE_LIMIT, so the kernel, and every code built with it, refuses
-larger fields.  The matrix is stored read-only as uint16, which holds
-every encoding below that limit; `rref` copies its input to int64 and
-eliminates there, each pivot step touching only the columns from the
-pivot on (the rows below the pivot row are already zero to its left).
-A step reads `sub` by one take from the flattened table, sub[a, b] at
-a q + b, which numpy runs several times faster than indexing with two
-arrays, and one search skips a whole run of columns that are zero below
-the current row.
+their matrices are identical.  `LinearCode.from_rows` is the one way
+from rows not in RREF to a code; the constructor takes rows already in
+RREF (null spaces, `_span_of`, `hermitian_dual`).  The field keeps only
+its digit rows and log/antilog pair; `kernel_tables` builds from them,
+once per field and on first use, the three tables the kernel reads: the
+q x q `mul` and `sub` that vectorize the row operations of `rref`, and
+the e x q x e `shift` of `field_matmul`.  Every other operation is
+written with those: a negation is a row of `sub` (-b = 0 - b), a sum
+a - (0 - b), and the one inverse per pivot is read from the log/antilog
+pair.  The tables need q <= TABLE_LIMIT, so the kernel, and every code
+built with it, refuses larger fields.  The matrix is stored read-only as
+uint16, which holds every encoding below that limit; `rref` copies its
+input to int64 and eliminates there, each pivot step touching only the
+columns from the pivot on (the rows below the pivot row are already zero
+to its left).  A step reads `sub` by one take from the flattened table,
+sub[a, b] at a q + b, which numpy runs several times faster than
+indexing with two arrays, and one search skips a whole run of columns
+that are zero below the current row.
 
 A code's dual is computed once and kept in its `_dual` slot.  The memo
 points one way only: a dual never refers back to the code it came from,
@@ -225,19 +227,20 @@ class LinearCode:
 
     @classmethod
     def from_rows(cls, ctx: FieldContext, rows, n: int | None = None) -> LinearCode:
-        rows = list(rows)
-        if not rows:
+        """The code spanned by `rows`, equal-length rows of element encodings
+        or a 2-d integer array; `n` is needed only when there is no row to
+        read it from.  Raises ValueError for ragged or malformed rows."""
+        M = _encodings(ctx, rows)
+        if M.shape == (0,):
             if n is None:
                 raise ValueError("zero code needs an explicit length")
-            return cls(ctx, n, np.zeros((0, n), dtype=np.uint16), ())
-        lengths = {len(r) for r in rows}
-        if len(lengths) != 1:
-            raise ValueError("ragged rows")
-        length = lengths.pop()
-        if n is not None and n != length:
-            raise ValueError(f"rows have length {length}, expected {n}")
-        R, piv = rref(ctx, _encodings(ctx, rows))
-        return cls(ctx, length, R, piv)
+            M = M.reshape(0, n)
+        if M.ndim != 2:
+            raise ValueError("expected rows of element encodings")
+        if n is not None and n != M.shape[1]:
+            raise ValueError(f"rows have length {M.shape[1]}, expected {n}")
+        R, piv = rref(ctx, M)
+        return cls(ctx, M.shape[1], R, piv)
 
     @property
     def k(self) -> int:
@@ -261,12 +264,11 @@ class LinearCode:
         """Euclidean dual under the standard inner product (memoised)."""
         if self._dual is None:
             ctx = self.ctx
-            if 2 * self.k < self.n:
-                R, piv = _null_space(ctx, self.matrix)  # one k x n elimination
+            if 2 * self.k < self.n:  # one k x n elimination
+                self._dual = LinearCode(ctx, self.n, *_null_space(ctx, self.matrix))
             else:
                 H, _ = _check_matrix(ctx, self.matrix, self.pivots)
-                R, piv = rref(ctx, H)
-            self._dual = LinearCode(ctx, self.n, R, piv)
+                self._dual = LinearCode.from_rows(ctx, H, self.n)
         return self._dual
 
     def _check_compatible(self, other: LinearCode) -> None:
@@ -277,9 +279,7 @@ class LinearCode:
 
     def sum_with(self, other: LinearCode) -> LinearCode:
         self._check_compatible(other)
-        stacked = np.vstack([self.matrix, other.matrix])
-        R, piv = rref(self.ctx, stacked)
-        return LinearCode(self.ctx, self.n, R, piv)
+        return LinearCode.from_rows(self.ctx, np.vstack([self.matrix, other.matrix]), self.n)
 
     def _gram(self, other: LinearCode) -> np.ndarray:
         """The k1 x k2 Gram matrix G1 G2^T."""
@@ -417,11 +417,13 @@ class LinearCode:
 
 
 def _encodings(ctx: FieldContext, rows) -> np.ndarray:
-    """rows as an int64 array; raises ValueError unless every entry is in [0, q)."""
-    M = np.array(rows, dtype=np.int64)
-    if M.size and (M.min() < 0 or M.max() >= ctx.q):
+    """rows as an int64 array.  Raises ValueError for ragged rows (numpy
+    refuses them) and unless every entry is an integer in [0, q), so none
+    is truncated; empty input, float64 to numpy, is accepted."""
+    M = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows))
+    if M.size and (M.dtype.kind not in "iu" or M.min() < 0 or M.max() >= ctx.q):
         raise ValueError("entries are not element encodings of this field")
-    return M
+    return M.astype(np.int64, copy=False)
 
 
 def _free_columns(n: int, pivots) -> np.ndarray:

@@ -16,10 +16,10 @@ CLI refuses it unless asked for the bare intersection.
 `verify_relative_hulls` checks the bases of one d1 against every partner
 d2 at once, by membership, with no intersection or dual built: with M
 the generator G1 reduced against C2, dim(C1 cap C2) = k1 - rank M, and B
-lies in C1 cap C2 iff B lies in C1 and reduces to zero against C2.  The
-partners that share one A_1 part share its span, evaluations and
-reductions against C1; the span is not kept, since a sweep visits each
-d1 once.  `hull_oracle` builds the intersection itself, by the same
+lies in C1 cap C2 iff B lies in C1 and reduces to zero against C2.
+A_1^{d1} depends on (q, d1) alone, so every partner shares one span of
+it, eliminated once per call and not kept, since a sweep visits each d1
+once.  `hull_oracle` builds the intersection itself, by the same
 membership identity in `LinearCode.intersect`.
 """
 
@@ -262,53 +262,46 @@ def verify_relative_hulls(q: int, d1: int, d2s) -> list[HullCheck]:
     B is A_1 plus at most q rows R, so rank B is dim span(A_1) plus the
     rank of R reduced against span(A_1).
 
-    The partners whose bases share one A_1 part form a group: in the closed
-    form that is all of them.  A group eliminates its A_1 evaluations once,
-    its one elimination of length n, evaluates its rows R in one call, and
-    reduces [span(A_1); R] against C1 and R against span(A_1) once each.
-    Each partner then reduces [G1; span(A_1); its own rows of R] against
-    C2 in one call, and is left with two ranks, of M and of its reduced
-    rows, and no elimination of length n.
+    A_1 depends on (q, d1) alone: the first partner's A_1 part is
+    eliminated once, the one elimination of length n, and a partner whose
+    A_1 part differs, even only in order, fails with basis_spans false.
+    Every partner's rows R are evaluated in one call; [span(A_1); R] is
+    reduced against C1 and R against span(A_1) once each.  Each partner
+    then reduces [G1; span(A_1); its own rows] against C2 in one call,
+    which leaves two ranks and no elimination of length n.
     """
     ctx = field_for_size(q)
     d2s = list(d2s)
     if any(_validate(q, d1, d2) != (d1, d2) for d2 in d2s):
         raise ValueError(f"partner degrees must be at least d1 = {d1}")
+    if not d2s:
+        return []
     pts = kernel_points(ctx, 2)
     c1 = prm_code(ctx, 2, d1)
     k1 = c1.k
     bases = [relative_hull_basis(q, d1, d2) for d2 in d2s]
-    groups: dict[tuple[Monomial, ...], list[int]] = {}
-    for i, basis in enumerate(bases):
-        groups.setdefault(basis.part_a1, []).append(i)
-    checks: dict[int, HullCheck] = {}
-    for part_a1, members in groups.items():
-        a1 = LinearCode.from_rows(ctx, evaluate_monomials(ctx, pts, part_a1))
-        rests = [bases[i].past_a1() for i in members]
-        rows = evaluate_polynomials(ctx, pts, [f for rest in rests for f in rest])
-        ends = itertools.accumulate(len(rest) for rest in rests)
-        # nonzero exactly on the rows of [span(A_1); R] outside C1
-        outside_c1 = c1._reduce_rows(np.vstack([a1.matrix, rows])).any(axis=1)
-        a1_outside, rows_outside = outside_c1[: a1.k].any(), outside_c1[a1.k :]
-        reduced = a1._reduce_rows(rows)
-        for i, rest, end in zip(members, rests, ends):
-            own = slice(end - len(rest), end)
-            c2 = prm_code(ctx, 2, d2s[i])
-            # M on top, then what must reduce to zero against C2
-            against_c2 = c2._reduce_rows(np.vstack([c1.matrix, a1.matrix, rows[own]]))
-            contained = not (a1_outside or rows_outside[own].any() or against_c2[k1:].any())
-            oracle_dim = k1 - len(rref(ctx, against_c2[:k1])[1])
-            rank = a1.k + len(rref(ctx, reduced[own])[1])
-            checks[i] = HullCheck(
-                q,
-                d1,
-                d2s[i],
-                formula_dim=relative_hull_dim(q, d1, d2s[i]),
-                basis_size=bases[i].dimension,
-                oracle_dim=oracle_dim,
-                basis_spans=contained and rank == oracle_dim,
-            )
-    return [checks[i] for i in range(len(bases))]
+    part_a1 = bases[0].part_a1
+    a1 = LinearCode.from_rows(ctx, evaluate_monomials(ctx, pts, part_a1))
+    rests = [basis.past_a1() for basis in bases]
+    rows = evaluate_polynomials(ctx, pts, [f for rest in rests for f in rest])
+    ends = itertools.accumulate(len(rest) for rest in rests)
+    # nonzero exactly on the rows of [span(A_1); R] outside C1
+    outside_c1 = c1._reduce_rows(np.vstack([a1.matrix, rows])).any(axis=1)
+    a1_outside, rows_outside = outside_c1[: a1.k].any(), outside_c1[a1.k :]
+    reduced = a1._reduce_rows(rows)
+    checks = []
+    for d2, basis, rest, end in zip(d2s, bases, rests, ends):
+        own = slice(end - len(rest), end)
+        c2 = prm_code(ctx, 2, d2)
+        # M on top, then what must reduce to zero against C2
+        against_c2 = c2._reduce_rows(np.vstack([c1.matrix, a1.matrix, rows[own]]))
+        contained = not (a1_outside or rows_outside[own].any() or against_c2[k1:].any())
+        oracle_dim = k1 - len(rref(ctx, against_c2[:k1])[1])
+        rank = a1.k + len(rref(ctx, reduced[own])[1])
+        formula = relative_hull_dim(q, d1, d2)
+        spans = basis.part_a1 == part_a1 and contained and rank == oracle_dim
+        checks.append(HullCheck(q, d1, d2, formula, basis.dimension, oracle_dim, spans))
+    return checks
 
 
 def extended_dual_hull_oracle(q: int, d1: int, d2: int) -> LinearCode:

@@ -50,8 +50,8 @@ def overline(z: int, q: int) -> int:
 
 
 def _encoding(ctx: FieldContext, coeff: int) -> int:
-    """coeff itself; raises ValueError unless it encodes an element of ctx."""
-    if not 0 <= coeff < ctx.q:
+    """coeff itself; raises ValueError unless it is an integer encoding an element of ctx."""
+    if not (isinstance(coeff, (int, np.integer)) and 0 <= coeff < ctx.q):
         raise ValueError(f"coefficient {coeff} is not an element encoding of {ctx!r}")
     return coeff
 

@@ -21,7 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from .codes import LinearCode, kernel_tables, rref
+from .codes import LinearCode, kernel_tables
 from .fields import FieldContext
 from .points import PointSet, affine_points, projective_points
 from .polynomials import evaluate_monomials, grlex_key
@@ -107,9 +107,7 @@ def prm_code(ctx: FieldContext, m: int, d: int) -> LinearCode:
     """The projective Reed-Muller code of degree d over P^m."""
     _check_degree(ctx.q, m, d, 1)
     pts = kernel_points(ctx, m)
-    rows = evaluate_monomials(ctx, pts, degree_monomials(m + 1, d))
-    R, piv = rref(ctx, rows)
-    return LinearCode(ctx, len(pts), R, piv)
+    return LinearCode.from_rows(ctx, evaluate_monomials(ctx, pts, degree_monomials(m + 1, d)))
 
 
 @lru_cache(maxsize=CODE_CACHE_SIZE)
@@ -117,9 +115,8 @@ def rm_code(ctx: FieldContext, m: int, d: int) -> LinearCode:
     """The affine Reed-Muller code of order d over A^m."""
     _check_degree(ctx.q, m, d, 0)
     pts = kernel_points(ctx, m, affine=True)
-    rows = evaluate_monomials(ctx, pts, bounded_monomials(m, d, ctx.q - 1))
-    R, piv = rref(ctx, rows)
-    return LinearCode(ctx, len(pts), R, piv)
+    monos = bounded_monomials(m, d, ctx.q - 1)
+    return LinearCode.from_rows(ctx, evaluate_monomials(ctx, pts, monos))
 
 
 def _weight_formula(q: int, m: int, reduced: int) -> int:
@@ -180,8 +177,7 @@ def prm_dual_code(ctx: FieldContext, m: int, d: int) -> LinearCode:
         rows = prm_code(ctx, m, desc.dual_degree).matrix
         if desc.extra_all_ones:
             rows = np.vstack([rows, ones])
-    R, piv = rref(ctx, rows)
-    return LinearCode(ctx, n, R, piv)
+    return LinearCode.from_rows(ctx, rows, n)
 
 
 def dim_prm(q: int, d: int) -> int:

@@ -152,8 +152,11 @@ def purity_sweep(q: int, cap: int = DEFAULT_WEIGHT_CAP) -> list[dict]:
     """Purity probes for every enumeration-feasible non-congruent pair.
 
     A probed record fails unless the pair is pure and the searched weight
-    of PRM_d1 is the closed-form weight.
+    of PRM_d1 is the closed-form weight.  With e = 2(q-1) - d2, PRM_e's
+    dual is PRM_d2: when (d1, e) is an `asym_pairs` pair, the record also
+    needs that pair's closed-form `pure` flag to equal the probe's verdict.
     """
+    pairs = set(qt.asym_pairs(q))
     records = []
     for d1 in range(1, 2 * (q - 1) + 1):
         for d2 in range(1, 2 * (q - 1) + 1):
@@ -166,6 +169,9 @@ def purity_sweep(q: int, cap: int = DEFAULT_WEIGHT_CAP) -> list[dict]:
                 record.update(status="info", detail="enumeration exceeds cap; skipped")
             else:
                 ok = rep.pure and rep.wt_full == prm_params(q, 2, d1).wt
+                e = 2 * (q - 1) - d2
+                if (d1, e) in pairs:
+                    ok = ok and qt.prm_asym_eaqecc(q, d1, e).pure == rep.pure
                 record.update(
                     wt_full=rep.wt_full,
                     wt_excluding=rep.wt_excluding,

@@ -440,6 +440,27 @@ def test_verify_purity_fails_a_planted_weight_fault(capsys, monkeypatch):
     assert recs[-1]["status"] == "fail"
 
 
+def test_verify_purity_fails_a_planted_closed_form_purity_flag(capsys, monkeypatch):
+    # the probe at (d1, d2) answers the nesting question of the pair
+    # (d1, 2(q-1) - d2), whose closed-form flag must agree with it
+    from prmhull import quantum
+
+    real = quantum.prm_asym_eaqecc
+
+    def planted(q, d1, d2):
+        params = real(q, d1, d2)
+        return dataclasses.replace(params, pure=None) if (q, d1, d2) == (4, 2, 2) else params
+
+    monkeypatch.setattr(quantum, "prm_asym_eaqecc", planted)
+    monkeypatch.setattr(verify, "available_cpus", lambda: 2)
+    code, out, _ = run_cli(capsys, "verify", "eaqecc", "--q", "4", "--purity")
+    assert code == 1
+    recs = jlines(out)
+    failed = [(r["check"], r.get("d1"), r.get("d2")) for r in recs[:-1] if r["status"] == "fail"]
+    assert failed == [("eaqecc-purity", 2, 4)]
+    assert recs[-1]["status"] == "fail"
+
+
 def test_verify_affine_self_orthogonality_reads_the_oracle(capsys, monkeypatch):
     # an oracle that calls every RM code its own hull fails exactly the
     # degrees past the self-orthogonality boundary

@@ -38,14 +38,26 @@ def test_from_rows_rejects_ragged_and_out_of_range():
         LinearCode.from_rows(g2, [(0, 2)])
     with pytest.raises(ValueError):
         LinearCode.from_rows(g2, [])
+    # a single vector is not a list of rows
+    with pytest.raises(ValueError):
+        LinearCode.from_rows(g2, [1, 0, 1])
+    # a float is refused, not truncated to an encoding
+    g3 = field_for_size(3)
+    for bad in ([[1.7, 0, 2.2]], [[1, 0, 2.0]], np.array([[1.0, 0.0]])):
+        with pytest.raises(ValueError, match="not element encodings"):
+            LinearCode.from_rows(g3, bad)
+    # integer arrays of any width, and iterables of rows, stay accepted
+    for rows in (np.eye(2, dtype=np.uint16), np.eye(2, dtype=np.int8), iter([(1, 0), (0, 1)])):
+        assert LinearCode.from_rows(g3, rows).k == 2
 
 
 def test_contains_refuses_entries_that_are_not_field_elements():
     g3 = field_for_size(3)
     code = LinearCode.from_rows(g3, [[1, 0, 2]])
     assert code.contains([2, 0, 1]) and not code.contains([1, 0, 1])
-    # -1 would index the last row of a table, 5 past its end
-    for bad in ([1, 0, -1], [1, 0, 3], [1, 0, 5]):
+    # -1 would index the last row of a table, 5 past its end; 1.9 would
+    # be truncated to 1
+    for bad in ([1, 0, -1], [1, 0, 3], [1, 0, 5], [1.9, 0, 2], [2.0, 0, 1]):
         with pytest.raises(ValueError, match="not element encodings"):
             code.contains(bad)
 

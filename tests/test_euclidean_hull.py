@@ -284,7 +284,8 @@ def test_coordinate_check_refuses_broken_bases(q, d1, d2, monkeypatch):
 def test_one_batched_call_runs_one_length_n_elimination(monkeypatch):
     # the partners of one d1 share the span of A_1^{d1}; with every code warm
     # and no dual built, it is the one elimination of length n the whole
-    # call runs
+    # call runs.  from_rows resolves codes.rref, so patching codes and
+    # euclidean_hull counts every elimination
     from prmhull import codes, euclidean_hull, prm
 
     q, d1 = 9, 9
@@ -302,7 +303,7 @@ def test_one_batched_call_runs_one_length_n_elimination(monkeypatch):
         widths.append(rows.shape[1])
         return real(ctx, rows)
 
-    for module in (codes, euclidean_hull, prm):
+    for module in (codes, euclidean_hull):
         monkeypatch.setattr(module, "rref", recording)
     assert all(chk.ok for chk in verify_relative_hulls(q, d1, partners))
     assert widths.count(n) == 1
@@ -320,6 +321,35 @@ def test_batched_oracle_dim_is_the_intersection_dimension(q, d1s):
         assert [(c.d1, c.d2) for c in checks] == [(d1, d2) for d2 in _partners(q, d1)]
         for chk in checks:
             assert chk.oracle_dim == hull_oracle(q, d1, chk.d2).k, chk
+
+
+@pytest.mark.parametrize("change", ["reordered", "shortened"])
+def test_a_partner_with_another_a1_part_fails_only_its_own_record(change, monkeypatch):
+    # the call takes the first partner's span of A_1; a partner whose A_1
+    # part differs, even only in order, fails its own record and no other
+    from dataclasses import replace
+
+    from prmhull import euclidean_hull
+
+    q, d1 = 4, 2
+    partners = list(_partners(q, d1))
+    planted_d2 = partners[2]
+    before = verify_relative_hulls(q, d1, partners)
+    assert all(chk.ok for chk in before)
+    real = euclidean_hull.relative_hull_basis
+
+    def planted(q, d1, d2):
+        basis = real(q, d1, d2)
+        if d2 != planted_d2:
+            return basis
+        a1 = basis.part_a1
+        return replace(basis, part_a1=a1[::-1] if change == "reordered" else a1[:-1])
+
+    monkeypatch.setattr(euclidean_hull, "relative_hull_basis", planted)
+    after = verify_relative_hulls(q, d1, partners)
+    assert [chk.d2 for chk in after if not chk.ok] == [planted_d2]
+    assert not after[2].basis_spans
+    assert after[:2] + after[3:] == before[:2] + before[3:]
 
 
 def test_batched_check_refuses_a_partner_below_d1():
@@ -366,7 +396,7 @@ def _more_broken_bases(q, d1, d2):
 )
 def test_euclid_sweep_fails_exactly_the_pair_of_a_broken_basis(fault, monkeypatch):
     # one pair's basis broken, the other partners of its d1 intact: a changed
-    # A_1 part puts the broken pair in a group of its own
+    # A_1 part fails only the broken pair, whose A_1 is not the first partner's
     from prmhull import euclidean_hull, verify
 
     broken = (_broken_bases(4, 4, 5) | _more_broken_bases(4, 4, 5))[fault]

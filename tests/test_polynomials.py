@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -243,6 +244,17 @@ def test_negative_and_non_integer_exponents_are_refused():
             parse_polynomial(ctx, 3, text)
     with pytest.raises(ValueError, match="variables"):
         evaluate_monomials(ctx, pts, [(1, 0)])
+
+
+def test_non_integer_coefficients_are_refused():
+    # evaluation would truncate 1.5 to 1
+    ctx = field_for_size(3)
+    for coeff in (1.5, 2.0, np.float64(1)):
+        with pytest.raises(ValueError, match="encoding"):
+            SparsePolynomial(ctx, 2, {(1, 0): coeff})
+        with pytest.raises(ValueError, match="encoding"):
+            SparsePolynomial.from_term_list(ctx, 2, [((1, 0), coeff)])
+    assert SparsePolynomial(ctx, 2, {(1, 0): np.int64(2)}).terms == {(1, 0): 2}
 
 
 def test_evaluation_refuses_another_fields_points_and_polynomials():

@@ -471,3 +471,64 @@ def test_guard_sees_dual_uses():
     assert _dual_uses(ast.parse(src)) == [
         (1, ""), (3, "f"), (6, "C.dual"), (9, "C.g.h"), (9, "C.g.h"), (10, "C.g")
     ]
+
+
+def _rref_uses(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, enclosing function) of each use of `rref`, by name or
+    attribute, other than the rank `len(rref(...)[1])`; "" at module level."""
+    ranks = set()
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "len"
+            and len(node.args) == 1
+            and isinstance(node.args[0], ast.Subscript)
+            and isinstance(node.args[0].slice, ast.Constant)
+            and node.args[0].slice.value == 1
+            and isinstance(node.args[0].value, ast.Call)
+        ):
+            ranks.add(id(node.args[0].value.func))
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if id(node) not in ranks and (
+            (isinstance(node, ast.Name) and node.id == "rref")
+            or (isinstance(node, ast.Attribute) and node.attr == "rref")
+        ):
+            found.append((node.lineno, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, "")
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "codes.py"], ids=lambda p: p.name
+)
+def test_outside_the_kernel_rref_only_counts_a_rank(path):
+    # every code built from rows not in RREF goes through LinearCode.from_rows,
+    # which converts and checks them once; elsewhere an elimination gives a rank
+    assert _rref_uses(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_guard_sees_rref_uses():
+    src = (
+        "from .codes import rref\n"
+        "R, piv = rref(ctx, rows)\n"
+        "def f(ctx, rows):\n"
+        "    return len(rref(ctx, rows)[1]), len(codes.rref(ctx, rows)[1])\n"
+        "class C:\n"
+        "    def g(self, rows):\n"
+        "        R, piv = codes.rref(self.ctx, rows)\n"
+        "        return LinearCode(self.ctx, R.shape[1], R, piv), len(rref(ctx, rows)[0])\n"
+        "def h(rows):\n"
+        "    eliminate = rref\n"
+        "    return len(rref(ctx, rows)), rref(ctx, rows)[1]\n"
+    )
+    assert _rref_uses(ast.parse(src)) == [
+        (2, ""), (7, "g"), (8, "g"), (10, "h"), (11, "h"), (11, "h")
+    ]
