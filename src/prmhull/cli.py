@@ -174,8 +174,8 @@ def cmd_hull_euclid(args) -> int:
 
 def cmd_hull_hermitian(args) -> int:
     q, d = args.q, args.d
-    basis = hh.hermitian_hull_basis(q, d)
     dim = hh.hermitian_hull_dim(q, d)
+    basis = hh.hermitian_hull_basis(q, d)
     record = {
         "command": "hull-hermitian",
         "q": q,
@@ -207,13 +207,14 @@ def cmd_hull_hermitian(args) -> int:
 
 def cmd_hull_affine_hermitian(args) -> int:
     q, d = args.q, args.d
+    formula = hh.affine_u_size(q, d).total
     monos = hh.affine_hull_monomials(q, d, d)
     record = {
         "command": "hull-affine-hermitian",
         "q": q,
         "d": d,
         "dimension": len(monos),
-        "formula_dimension": hh.affine_u_size(q, d).total,
+        "formula_dimension": formula,
         "self_orthogonal": d <= 2 * (q - 1) - 1,
         # the affine monomial x1^a1 x2^a2; position 0 of a monomial is x0
         "basis": [format_monomial((0,) + m) or "1" for m in monos],

@@ -349,10 +349,10 @@ class LinearCode:
         return sub.ravel().take(R[:, is_free] * self.ctx.q + prod)
 
     def contains(self, vector) -> bool:
-        v = _encodings(self.ctx, vector).reshape(1, -1)
-        if v.shape[1] != self.n:
-            raise ValueError("vector length mismatch")
-        return not self._reduce_rows(v).any()
+        v = _encodings(self.ctx, vector)
+        if v.shape != (self.n,):
+            raise ValueError(f"expected a vector of length {self.n}, got shape {v.shape}")
+        return not self._reduce_rows(v.reshape(1, -1)).any()
 
     def is_subcode_of(self, other: LinearCode) -> bool:
         self._check_compatible(other)

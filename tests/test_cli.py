@@ -165,6 +165,20 @@ def test_hull_hermitian_verify(capsys):
     assert rec["provenance"]["dimension"] == "bound"
 
 
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("kind, lo", [("hermitian", 1), ("affine-hermitian", 0)])
+def test_hull_hermitian_refusal_names_the_admissible_range(capsys, q, kind, lo):
+    # degrees q^2-1 .. 2q^2-2 pass the basis enumerations but not the
+    # dimension counts, so the error must name the counts' range
+    Q = q * q
+    for d in (Q - 1, 2 * Q - 2, 2 * Q - 1):
+        code, out, err = run_cli(capsys, "hull", kind, "--q", str(q), "--d", str(d))
+        assert code == 2 and out == ""
+        assert jlines(err) == [
+            {"command": "hull", "error": f"degree {d} outside [{lo}, {Q - 2}] over GF({q}^2)"}
+        ], (kind, d)
+
+
 def test_hull_affine_hermitian(capsys):
     code, out, _ = run_cli(
         capsys, "hull", "affine-hermitian", "--q", "3", "--d", "4", "--verify"

@@ -60,6 +60,14 @@ def test_contains_refuses_entries_that_are_not_field_elements():
     for bad in ([1, 0, -1], [1, 0, 3], [1, 0, 5], [1.9, 0, 2], [2.0, 0, 1]):
         with pytest.raises(ValueError, match="not element encodings"):
             code.contains(bad)
+    # a row or a column of the right entries is not a vector; flattened,
+    # both would read as the codeword [1, 1, 0]
+    g4 = field_for_size(4)
+    code4 = LinearCode.from_rows(g4, [[1, 1, 0]])
+    assert code4.contains([1, 1, 0])
+    for bad in ([[1, 1, 0]], [[1], [1], [0]], [1, 1]):
+        with pytest.raises(ValueError, match="expected a vector of length 3"):
+            code4.contains(bad)
 
 
 def test_rref_is_canonical():

@@ -401,7 +401,7 @@ def test_hermitian_oracles_build_no_dual(monkeypatch):
     assert affine.k == affine_hermitian_hull_dim(4, 5)
 
 
-@pytest.mark.parametrize("q, d", [(3, 3), (3, 7), (4, 5), (4, 7)])
+@pytest.mark.parametrize("q, d", [(3, 3), (3, 7), (4, 5), (4, 7), (4, 10), (4, 13)])
 def test_coordinate_check_refuses_broken_bases(q, d, monkeypatch):
     from dataclasses import replace
 
@@ -421,6 +421,15 @@ def test_coordinate_check_refuses_broken_bases(q, d, monkeypatch):
         "U monomial duplicated": replace(basis, set_u=basis.set_u + (first,)),
         "monomial outside the hull added": replace(basis, set_u=basis.set_u + (outside,)),
     }
+    # the two-term W rows, where there are any
+    assert bool(basis.set_w) == ((q, d) in {(3, 7), (4, 10), (4, 13)})
+    if basis.set_w:
+        w = basis.set_w[-1]
+        head = next(m for m in w.terms if m[0] == 0)  # x1^(d-a2) x2^a2
+        broken["W element duplicated"] = replace(basis, set_w=basis.set_w + (w,))
+        broken["W element's second term dropped"] = replace(
+            basis, set_w=basis.set_w[:-1] + (SparsePolynomial.monomial(ctx, head),)
+        )
     for fault, b in broken.items():
         monkeypatch.setattr(hermitian_hull, "hermitian_hull_basis", lambda *_: b)
         chk = verify_hermitian_hull(q, d)

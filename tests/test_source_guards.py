@@ -473,6 +473,28 @@ def test_guard_sees_dual_uses():
     ]
 
 
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "codes.py"], ids=lambda p: p.name
+)
+def test_only_the_kernel_reads_the_pivot_layout(path):
+    # a code's RREF pivots are the kernel's own layout: elsewhere membership
+    # is a reduction against the code and a rank an elimination of the rows
+    assert _names(ast.parse(path.read_text(), str(path)), {"pivots"}) == []
+
+
+def test_guard_sees_pivot_reads():
+    src = (
+        "p = code.pivots\n"
+        "def f(oracle, rows, residual):\n"
+        "    return np.hstack([rows[:, list(oracle.pivots)], residual])\n"
+        "class C:\n"
+        "    def g(self, m):\n"
+        "        piv = getattr(self.code, 'pivots')\n"
+        "        return len(rref(self.ctx, m)[1]), self.pivot, piv\n"
+    )
+    assert _names(ast.parse(src), {"pivots"}) == [1, 3, 6]
+
+
 def _rref_uses(tree: ast.AST) -> list[tuple[int, str]]:
     """(line, enclosing function) of each use of `rref`, by name or
     attribute, other than the rank `len(rref(...)[1])`; "" at module level."""
