@@ -38,7 +38,11 @@ entries only at pivots p > f (matroid duality: the first basis of the
 dual matroid is the complement of the last basis of the matroid).  When
 2k < n the dual is that null space of the generator, one k x n
 elimination; when 2k >= n the check matrix of the RREF itself is
-reduced by one (n-k) x n elimination.
+reduced by one (n-k) x n elimination.  The left null space of a matrix
+given by its nonzero entries eliminates only the block of rows and
+columns that hold them: each zero row adds a unit row, and as the unit
+rows and the block's null space have disjoint supports, both sorted by
+pivot are already the RREF.
 
 The relative hull C1 cap C2^perp = {m G1 : m G1 G2^T = 0} is N G1 for N
 the left null space of the k1 x k2 Gram matrix G1 G2^T, taken as above
@@ -418,9 +422,15 @@ class LinearCode:
 
 def _encodings(ctx: FieldContext, rows) -> np.ndarray:
     """rows as an int64 array.  Raises ValueError for ragged rows (numpy
-    refuses them) and unless every entry is an integer in [0, q), so none
-    is truncated; empty input, float64 to numpy, is accepted."""
-    M = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows))
+    refuses them), for a bare scalar, and unless every entry is an integer
+    in [0, q), so none is truncated; empty input, float64 to numpy, is
+    accepted."""
+    if not isinstance(rows, np.ndarray):
+        try:
+            rows = list(rows)
+        except TypeError:
+            raise ValueError("entries are not element encodings of this field") from None
+    M = np.asarray(rows)
     if M.size and (M.dtype.kind not in "iu" or M.min() < 0 or M.max() >= ctx.q):
         raise ValueError("entries are not element encodings of this field")
     return M.astype(np.int64, copy=False)
@@ -451,6 +461,27 @@ def _null_space(ctx: FieldContext, M: np.ndarray) -> tuple[np.ndarray, tuple]:
     n = M.shape[1]
     R, rpiv = rref(ctx, M[:, ::-1])
     return _check_matrix(ctx, R[:, ::-1], [n - 1 - c for c in rpiv])
+
+
+def _left_null_space(
+    ctx: FieldContext, k: int, i: np.ndarray, j: np.ndarray, value: np.ndarray
+) -> tuple[np.ndarray, tuple]:
+    """RREF basis of {m : m G = 0} and its pivots, for G with k rows, zero
+    but for G[i, j] = value (nonzero, each cell once).  A zero row of G
+    gives a unit row; the block of the rows and columns that hold nonzeros
+    gives, by one elimination, the rest, spread over its rows.  The two
+    kinds have disjoint supports, so sorted by pivot they are the RREF."""
+    rows, i = np.unique(i, return_inverse=True)
+    cols, j = np.unique(j, return_inverse=True)
+    block = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    block[i, j] = value
+    null, piv = _null_space(ctx, block.T)
+    units, leads = np.flatnonzero(_free_columns(k, rows)), rows[list(piv)]
+    pivots = np.sort(np.concatenate([units, leads]))
+    out = np.zeros((len(pivots), k), dtype=np.int64)
+    out[np.searchsorted(pivots, units), units] = 1
+    out[np.ix_(np.searchsorted(pivots, leads), rows)] = null
+    return out, tuple(pivots.tolist())
 
 
 def field_matmul(ctx: FieldContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prmhull import verify
+from prmhull import hermitian_hull, verify
 from prmhull.cli import main
 from prmhull.euclidean_hull import relative_hull_dim
 from prmhull.points import affine_points, projective_points
@@ -692,6 +692,24 @@ def test_refused_field_leaves_no_point_set_cached(capsys):
         assert out == ""
         assert "dense tables" in json.loads(err)["error"]
         assert (projective_points.cache_info(), affine_points.cache_info()) == before
+
+
+def test_refused_field_builds_no_gram_entry(capsys, monkeypatch):
+    # the Hermitian oracles ask the kernel for the field before any power
+    # sum is looked up, so a refused field exits 2 having built nothing
+    calls = []
+
+    def build_entries(*args):
+        calls.append(args)
+        raise AssertionError("Gram entries built over a refused field")
+
+    monkeypatch.setattr(hermitian_hull, "_gram_entries", build_entries)
+    for argv in (("hermitian", "--q", "23"), ("affine-hermitian", "--q", "32")):
+        code, out, err = run_cli(capsys, "hull", *argv, "--d", "1", "--verify")
+        assert code == 2
+        assert out == ""
+        assert "dense tables" in json.loads(err)["error"]
+    assert calls == []
 
 
 def test_verify_negative_cap_exits_2(capsys):

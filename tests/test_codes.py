@@ -13,7 +13,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prmhull.codes import EnumerationBudgetError, LinearCode, _null_space, field_matmul, rref
+from prmhull.codes import (
+    EnumerationBudgetError,
+    LinearCode,
+    _left_null_space,
+    _null_space,
+    field_matmul,
+    rref,
+)
 from prmhull.fields import field_for_size
 
 
@@ -38,9 +45,13 @@ def test_from_rows_rejects_ragged_and_out_of_range():
         LinearCode.from_rows(g2, [(0, 2)])
     with pytest.raises(ValueError):
         LinearCode.from_rows(g2, [])
-    # a single vector is not a list of rows
+    # a single vector is not a list of rows, nor is a bare scalar (which
+    # once escaped as a TypeError past callers that catch ValueError)
     with pytest.raises(ValueError):
         LinearCode.from_rows(g2, [1, 0, 1])
+    for bad in (5, 1, np.int64(1)):
+        with pytest.raises(ValueError, match="not element encodings"):
+            LinearCode.from_rows(g2, bad)
     # a float is refused, not truncated to an encoding
     g3 = field_for_size(3)
     for bad in ([[1.7, 0, 2.2]], [[1, 0, 2.0]], np.array([[1.0, 0.0]])):
@@ -67,6 +78,10 @@ def test_contains_refuses_entries_that_are_not_field_elements():
     assert code4.contains([1, 1, 0])
     for bad in ([[1, 1, 0]], [[1], [1], [0]], [1, 1]):
         with pytest.raises(ValueError, match="expected a vector of length 3"):
+            code4.contains(bad)
+    # nor is a bare scalar
+    for bad in (1, np.int64(1), 1.5):
+        with pytest.raises(ValueError, match="not element encodings"):
             code4.contains(bad)
 
 
@@ -510,6 +525,22 @@ def test_relative_hull_matches_whole_row_reference(case):
         for c in (c1, c2):
             frob = LinearCode.from_rows(ctx, ctx.power_table(base_q)[c.matrix], n=n)
             assert c.relative_hull(frob) == c.intersect(c.hermitian_dual(base_q))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 16])
+def test_sparse_left_null_space_matches_the_dense_one(q):
+    # zero rows become unit rows, the block of nonzero rows and columns is
+    # eliminated alone, and the merge must give the dense null space's RREF
+    ctx = field_for_size(q)
+    rng = np.random.default_rng(q)
+    for k, s in [(1, 1), (5, 3), (12, 12), (20, 7), (7, 20), (30, 30)]:
+        for density in (0.0, 0.05, 0.2, 0.6):
+            G = rng.integers(1, q, size=(k, s)) * (rng.random((k, s)) < density)
+            i, j = G.nonzero()
+            null, piv = _left_null_space(ctx, k, i, j, G[i, j])
+            expected, expected_piv = _null_space(ctx, G.T)
+            assert piv == expected_piv, (k, s, density)
+            assert (null == expected).all(), (k, s, density)
 
 
 def _random_code_pairs(q, seed=0):

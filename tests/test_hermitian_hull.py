@@ -276,41 +276,52 @@ def test_coefficient_oracles_match_the_evaluation_space_reference(q):
             assert _affine_evaluated(q, d1, d2) == _reference_affine_hull(q, d1, d2), (q, d1, d2)
 
 
-def _sigma(Q, j):
-    """sum over y in GF(Q) of y^j, an element of the prime field: -1 when
-    j > 0 and Q-1 divides j, else 0 (the j = 0 sum is Q = 0)."""
-    return np.where((j > 0) & (j % (Q - 1) == 0), -1, 0)
+def _dense_gram_entries(q, monos1, monos2, affine):
+    """The oracles' Gram entries as a dense matrix, after checking that each
+    cell comes once and holds a nonzero element of the prime field."""
+    i, j, value = hermitian_hull._gram_entries(q, monos1, monos2, affine)
+    assert len(set(zip(i.tolist(), j.tolist()))) == len(value)
+    assert ((value > 0) & (value < field_for_size(q * q).p)).all()
+    dense = np.zeros((len(monos1), len(monos2)), dtype=np.int64)
+    dense[i, j] = value
+    return dense
+
+
+def _evaluated_gram(q, pts, monos1, monos2):
+    """S1 S2^(q)T: monos1 against the q-scaled monos2, evaluated at the points."""
+    ctx = pts.ctx
+    S1 = evaluate_monomials(ctx, pts, monos1)
+    S2q = evaluate_monomials(ctx, pts, _scaled(q, monos2))
+    return field_matmul(ctx, S1, S2q.T)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
-def test_gram_matrix_equals_power_sums(q, monkeypatch):
-    """The oracle's Gram entry for monomials a, b is the sum of x^e, e = a + q b,
-    over the points: with s = _sigma, over the charts (1, y, z), (0, 1, z) and
-    (0, 0, 1) of the plane s(e1)s(e2) + [e0 = 0]s(e2) + [e0 = e1 = 0], and
-    over A^2 s(e1)s(e2)."""
+def test_gram_matrix_equals_power_sums(q):
+    """The oracles eliminate Gram entries built from power sums, never from
+    the points: for monomials a, b and e = a + q b, with s(j) the sum of y^j
+    over GF(q^2), s(e1)s(e2) + [e0 = 0]s(e2) + [e0 = e1 = 0] over the charts
+    (1, y, z), (0, 1, z) and (0, 0, 1) of the plane, and s(e1)s(e2) over
+    A^2.  Made dense, they equal the evaluated S1 S2^(q)T cell for cell, at
+    every degree of both oracles."""
     Q = q * q
-    p = field_for_size(Q).p
-    grams = []
-
-    def capture(ctx, M):
-        grams.append(np.array(M).T)
-        return codes._null_space(ctx, M)
-
-    monkeypatch.setattr(hermitian_hull, "_null_space", capture)
+    ctx = field_for_size(Q)
+    plane = projective_points(ctx, 2)
     for d in range(1, Q - 1):
-        hermitian_hull_oracle(q, d)
-        monos = np.array(degree_monomials(3, d))
-        e = monos[:, None, :] + q * monos[None, :, :]
-        s1, s2 = _sigma(Q, e[..., 1]), _sigma(Q, e[..., 2])
-        x0_zero = e[..., 0] == 0
-        sums = s1 * s2 + x0_zero * s2 + (x0_zero & (e[..., 1] == 0))
-        assert (grams.pop() == sums % p).all(), (q, d)
-    for d in range(0, 2 * (Q - 1) + 1):
-        affine_hull_oracle(q, d, d)
-        monos = np.array(bounded_monomials(2, d, Q - 1))
-        e = monos[:, None, :] + q * monos[None, :, :]
-        sums = _sigma(Q, e[..., 0]) * _sigma(Q, e[..., 1])
-        assert (grams.pop() == sums % p).all(), (q, d)
+        monos = degree_monomials(3, d)
+        gram = _dense_gram_entries(q, monos, monos, affine=False)
+        assert (gram == _evaluated_gram(q, plane, monos, monos)).all(), (q, d)
+    # every affine monomial list is a sublist of the full one, so one
+    # evaluated Gram matrix holds the reference for every pair of degrees
+    full = bounded_monomials(2, 2 * (Q - 1), Q - 1)
+    reference = _evaluated_gram(q, affine_points(ctx, 2), full, full)
+    index = {m: t for t, m in enumerate(full)}
+    for d1 in range(0, 2 * (Q - 1) + 1):
+        monos1 = bounded_monomials(2, d1, Q - 1)
+        for d2 in range(0, 2 * (Q - 1) + 1):
+            monos2 = bounded_monomials(2, d2, Q - 1)
+            gram = _dense_gram_entries(q, monos1, monos2, affine=True)
+            expected = reference[np.ix_([index[m] for m in monos1], [index[m] for m in monos2])]
+            assert (gram == expected).all(), (q, d1, d2)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

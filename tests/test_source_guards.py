@@ -554,3 +554,56 @@ def test_guard_sees_rref_uses():
     assert _rref_uses(ast.parse(src)) == [
         (2, ""), (7, "g"), (8, "g"), (10, "h"), (11, "h"), (11, "h")
     ]
+
+
+ORACLE_ROOTS = ("hermitian_hull_oracle", "affine_hull_oracle")
+EVALUATIONS = {"evaluate_monomials", "field_matmul", "kernel_points"}
+
+
+def _oracle_path_evaluations(tree: ast.AST, roots) -> tuple[list[tuple[int, str]], set[str]]:
+    """(line, function) of each name in EVALUATIONS, by name or attribute,
+    inside the module-level functions that `roots` reach by the names they
+    use, and the set of those functions."""
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    path, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in funcs and name not in path:
+            path.add(name)
+            todo += [n.id for n in ast.walk(funcs[name]) if isinstance(n, ast.Name)]
+    found = []
+    for name in path:
+        for node in ast.walk(funcs[name]):
+            if (isinstance(node, ast.Name) and node.id in EVALUATIONS) or (
+                isinstance(node, ast.Attribute) and node.attr in EVALUATIONS
+            ):
+                found.append((node.lineno, name))
+    return sorted(found), path
+
+
+def test_hermitian_oracles_evaluate_nothing_at_the_points():
+    # the Gram entries are power sums looked up by residue, so the oracles
+    # neither build the plane nor evaluate a monomial on it; power_span_code,
+    # off their path, keeps its evaluation
+    path = SRC / "hermitian_hull.py"
+    found, reached = _oracle_path_evaluations(ast.parse(path.read_text(), str(path)), ORACLE_ROOTS)
+    assert {"_gram_null_space", "_gram_entries"} <= reached
+    assert "power_span_code" not in reached
+    assert found == []
+
+
+def test_guard_sees_evaluations_on_the_oracle_path():
+    src = (
+        "from .polynomials import evaluate_monomials\n"
+        "def oracle(q):\n"
+        "    return helper(q)\n"
+        "def helper(q):\n"
+        "    return codes.field_matmul(evaluate_monomials(q), q)\n"
+        "def public(q):\n"
+        "    return evaluate_monomials(kernel_points(q))\n"
+        "def unused():\n"
+        "    return oracle, kernel_points\n"
+    )
+    assert _oracle_path_evaluations(ast.parse(src), ["oracle"]) == (
+        [(5, "helper"), (5, "helper")], {"oracle", "helper"}
+    )
